@@ -1,28 +1,42 @@
-// Overhead harness for the observability layers. Three parts:
+// Overhead harness for the always-on observability planes, measured on the
+// production topology (TencentRec::ProcessBatch: spout -> pretreatment ->
+// user_history -> item CF + demographic bolts -> TDStore). Four parts:
 //
 //  1. Raw per-op cost of Counter::Add and LatencyHistogram::Record, both
-//     enabled and kill-switched, in ns/op (ISSUE 2 acceptance: <2% on the
-//     instrumented 4-shard pipeline).
-//  2. The micro_parallel 4-shard workload run with metrics off (kill switch
-//     down, so every Record is a single relaxed load + branch) vs on, and
-//     the relative wall-clock overhead.
-//  3. The same workload with per-tuple tracing off vs sampling 1 in 64
-//     (acceptance: <3% throughput overhead).
+//     enabled and kill-switched, in ns/op.
+//  2. The same engine workload run with metrics off (kill switch down, so
+//     every Record is a single relaxed load + branch) vs on, and the
+//     relative wall-clock difference (printed, not gated).
+//  3. The same workload with per-tuple tracing off vs sampling 1 in 64:
+//     trace_overhead_pct, gated by scripts/check_bench.py's 3% budget.
+//  4. The time-series sampler and the CPU profiler timed at their source
+//     (DESIGN.md §12/§13): obs_overhead_pct and profiler_overhead_pct,
+//     gated the same way. The registry the sampler walks is the one parts
+//     2-3 populated with a real engine's instruments.
 //
-// Plain harness (prints a small table); run it directly:
+// Plain harness (prints a small table, writes BENCH_micro_metrics.json);
+// run it directly:
 //   ./bench/micro_metrics
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/stage.h"
 #include "common/trace.h"
-#include "core/itemcf/parallel_cf.h"
+#include "engine/tencentrec.h"
+#include "obs/freshness.h"
+#include "obs/profiler.h"
+#include "obs/timeseries.h"
 
 namespace {
 
@@ -78,155 +92,258 @@ void BenchInstrumentOps() {
               NsPerOp(record_off, kOps));
 }
 
-// --- part 2: pipeline overhead ----------------------------------------------
+// --- parts 2-3: engine topology overhead -------------------------------------
 
+constexpr int kActions = 20000;
+constexpr int kReps = 9;
+
+/// Users >> items with Zipf item popularity, one action per 0.5 s of event
+/// time: each user's history stays short, as on a production stream.
 std::vector<UserAction> MakeStream(int n) {
-  // Same stream as micro_parallel so numbers are comparable.
   Rng rng(17);
-  ZipfSampler zipf(500, 0.9);
+  ZipfSampler zipf(1000, 0.9);
   const ActionType kTypes[] = {ActionType::kBrowse, ActionType::kClick,
                                ActionType::kRead, ActionType::kPurchase};
   std::vector<UserAction> actions;
   actions.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     UserAction a;
-    a.user = static_cast<UserId>(1 + rng.Uniform(300));
+    a.user = static_cast<UserId>(1 + rng.Uniform(5000));
     a.item = static_cast<ItemId>(1 + zipf.Sample(rng));
     a.action = kTypes[rng.Uniform(4)];
-    a.timestamp = Seconds(i);
+    a.timestamp = Seconds(i) / 2;
+    a.demographics.gender =
+        (a.user % 2 == 0) ? Demographics::kMale : Demographics::kFemale;
+    a.demographics.age_band = static_cast<uint8_t>(1 + a.user % 5);
     actions.push_back(a);
   }
   return actions;
 }
 
-uint64_t RunPipelineOnce(const std::vector<UserAction>& stream,
-                         bool with_metrics) {
-  SetMetricsEnabled(with_metrics);
-  ParallelItemCf::Options options;
-  options.cf.linked_time = Hours(4);
-  options.cf.window_sessions = 8;
-  options.cf.session_length = Hours(6);
-  options.cf.enable_pruning = false;
-  options.user_shards = 4;
-  options.pair_shards = 4;
-  options.metrics_scope = with_metrics ? "bench.parallel_cf" : "";
-  const uint64_t t0 = WallNanos();
-  ParallelItemCf cf(options);
-  cf.ProcessActions(stream);
-  cf.Drain();
-  return WallNanos() - t0;
+/// Item CF + demographic over 2 data servers x 8 instances, keyed bolts at
+/// parallelism 2, default combiner, StoreCache and BatchWriter: the
+/// engine's default production shape, minus the WAL (micro_recover owns
+/// that cost).
+engine::TencentRec::Options EngineOptions() {
+  engine::TencentRec::Options options;
+  options.app.app = "bench";
+  options.app.parallelism = 2;
+  options.app.linked_time = Hours(4);
+  options.app.window_sessions = 6;
+  options.store.num_data_servers = 2;
+  options.store.num_instances = 8;
+  return options;
 }
 
-void BenchPipelineOverhead() {
-  const auto stream = MakeStream(50000);
-  constexpr int kReps = 7;
-
-  // Interleave on/off reps so thermal and cache drift hits both sides, and
-  // take the per-side minimum (the least-noise estimate of true cost).
-  uint64_t best_off = UINT64_MAX;
-  uint64_t best_on = UINT64_MAX;
-  (void)RunPipelineOnce(stream, false);  // warmup
-  for (int r = 0; r < kReps; ++r) {
-    best_off = std::min(best_off, RunPipelineOnce(stream, false));
-    best_on = std::min(best_on, RunPipelineOnce(stream, true));
+/// Wall ms for one fresh engine to ProcessBatch the whole stream (engine
+/// setup excluded).
+double RunEngineOnce(const std::vector<UserAction>& stream) {
+  auto engine = engine::TencentRec::Create(EngineOptions());
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+    std::exit(1);
   }
+  const uint64_t t0 = WallNanos();
+  const Status run = (*engine)->ProcessBatch(stream);
+  const uint64_t elapsed = WallNanos() - t0;
+  if (!run.ok()) {
+    std::fprintf(stderr, "ProcessBatch: %s\n", run.ToString().c_str());
+    std::exit(1);
+  }
+  return static_cast<double>(elapsed) / 1e6;
+}
+
+/// Interleaves `off` and `on` reps so drift hits both sides equally; each
+/// side's minimum is its least-noise estimate. Returns the `on` reps.
+std::vector<double> PairedReps(const std::function<double()>& off,
+                               const std::function<double()>& on,
+                               double* best_off, double* best_on) {
+  std::vector<double> on_reps;
+  (void)off();  // warmup
+  *best_off = 1e300;
+  *best_on = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    *best_off = std::min(*best_off, off());
+    const double ms = on();
+    *best_on = std::min(*best_on, ms);
+    on_reps.push_back(ms);
+  }
+  return on_reps;
+}
+
+void BenchMetricsOverhead(const std::vector<UserAction>& stream) {
+  double off_ms = 0.0, on_ms = 0.0;
+  PairedReps(
+      [&] {
+        SetMetricsEnabled(false);
+        return RunEngineOnce(stream);
+      },
+      [&] {
+        SetMetricsEnabled(true);
+        return RunEngineOnce(stream);
+      },
+      &off_ms, &on_ms);
   SetMetricsEnabled(true);
 
-  const double off_ms = static_cast<double>(best_off) / 1e6;
-  const double on_ms = static_cast<double>(best_on) / 1e6;
-  const double overhead_pct =
-      (on_ms - off_ms) / off_ms * 100.0;
-  std::printf("\n== 4-shard pipeline, %zu actions, best of %d ==\n",
+  const double n = static_cast<double>(stream.size());
+  std::printf("\n== engine topology, %zu actions, best of %d ==\n",
               stream.size(), kReps);
   std::printf("  cores: %u\n", std::thread::hardware_concurrency());
   std::printf("  metrics off %8.2f ms  (%.0f actions/s)\n", off_ms,
-              static_cast<double>(stream.size()) / (off_ms / 1e3));
+              n / (off_ms / 1e3));
   std::printf("  metrics on  %8.2f ms  (%.0f actions/s)\n", on_ms,
-              static_cast<double>(stream.size()) / (on_ms / 1e3));
-  std::printf("  overhead    %+7.2f %%  (target < 2%%)\n", overhead_pct);
+              n / (on_ms / 1e3));
+  std::printf("  overhead    %+7.2f %%\n", (on_ms - off_ms) / off_ms * 100.0);
 
-  // Sanity: the instrumented run actually recorded into the registry.
-  auto* service = MetricRegistry::Default().GetHistogram(
-      "bench.parallel_cf.user-history.service_us");
-  std::printf("  samples     user-history service_us count=%llu\n",
-              static_cast<unsigned long long>(service->Snap().count));
+  // Sanity: the instrumented runs recorded into the registry.
+  auto* e2s = MetricRegistry::Default().GetHistogram(
+      "topo.bench.user_history.event_to_store_us");
+  std::printf("  samples     user_history event_to_store_us count=%llu\n",
+              static_cast<unsigned long long>(e2s->Snap().count));
 }
 
-// --- part 3: tracing overhead ------------------------------------------------
+struct TraceResult {
+  double overhead_pct = 0.0;
+  double off_ms = 0.0;
+  bench::BenchSummary traced;
+};
 
-uint64_t RunTracedPipelineOnce(const std::vector<UserAction>& stream) {
-  ParallelItemCf::Options options;
-  options.cf.linked_time = Hours(4);
-  options.cf.window_sessions = 8;
-  options.cf.session_length = Hours(6);
-  options.cf.enable_pruning = false;
-  options.user_shards = 4;
-  options.pair_shards = 4;
-  const uint64_t t0 = WallNanos();
-  ParallelItemCf cf(options);
-  cf.ProcessActions(stream);
-  cf.Drain();
-  return WallNanos() - t0;
-}
-
-void BenchTracingOverhead() {
-  const auto plain = MakeStream(50000);
+TraceResult BenchTracingOverhead(const std::vector<UserAction>& stream) {
   SetMetricsEnabled(true);
-
-  // Traced variant: the same stream with the edge sampling decision already
-  // applied, as the spout/publish path would — 1 in 64 actions carries a
-  // nonzero trace id, the rest pay the id==0 branch in every ScopedSpan.
-  SetTraceSampleEvery(64);
-  auto traced = plain;
-  for (auto& a : traced) a.trace_id = MaybeStartTrace();
-
-  constexpr int kReps = 7;
-  uint64_t best_off = UINT64_MAX;
-  uint64_t best_on = UINT64_MAX;
-  std::vector<double> on_ms_reps;
-  SetTraceSampleEvery(0);
-  (void)RunTracedPipelineOnce(plain);  // warmup
-  for (int r = 0; r < kReps; ++r) {
-    SetTraceSampleEvery(0);
-    best_off = std::min(best_off, RunTracedPipelineOnce(plain));
-    SetTraceSampleEvery(64);
-    const uint64_t on = RunTracedPipelineOnce(traced);
-    best_on = std::min(best_on, on);
-    on_ms_reps.push_back(static_cast<double>(on) / 1e6);
-  }
+  // The spout makes the 1-in-64 edge decision for every action it emits,
+  // so the traced side only flips the process-wide sampling rate; the
+  // untraced side pays the id==0 branch in every ScopedSpan.
+  double off_ms = 0.0, on_ms = 0.0;
+  const std::vector<double> on_reps = PairedReps(
+      [&] {
+        SetTraceSampleEvery(0);
+        return RunEngineOnce(stream);
+      },
+      [&] {
+        SetTraceSampleEvery(64);
+        return RunEngineOnce(stream);
+      },
+      &off_ms, &on_ms);
   SetTraceSampleEvery(0);
 
-  const double off_ms = static_cast<double>(best_off) / 1e6;
-  const double on_ms = static_cast<double>(best_on) / 1e6;
-  const double overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
-  std::printf("\n== tracing overhead, 4-shard pipeline, %zu actions, "
+  TraceResult result;
+  result.overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
+  result.off_ms = off_ms;
+  result.traced = bench::Summarize(on_reps, static_cast<double>(stream.size()));
+
+  const double n = static_cast<double>(stream.size());
+  std::printf("\n== tracing overhead, engine topology, %zu actions, "
               "best of %d ==\n",
-              plain.size(), kReps);
+              stream.size(), kReps);
   std::printf("  tracing off          %8.2f ms  (%.0f actions/s)\n", off_ms,
-              static_cast<double>(plain.size()) / (off_ms / 1e3));
+              n / (off_ms / 1e3));
   std::printf("  tracing 1/64 sampled %8.2f ms  (%.0f actions/s)\n", on_ms,
-              static_cast<double>(plain.size()) / (on_ms / 1e3));
-  std::printf("  overhead             %+7.2f %%  (target < 3%%)\n",
-              overhead_pct);
+              n / (on_ms / 1e3));
+  std::printf("  overhead             %+7.2f %%  (budget 3%%)\n",
+              result.overhead_pct);
   std::printf("  spans recorded       %llu\n",
               static_cast<unsigned long long>(
                   Tracer::Default().total_recorded()));
+  return result;
+}
 
-  const auto summary =
-      bench::Summarize(on_ms_reps, static_cast<double>(plain.size()));
-  char extra[160];
-  std::snprintf(extra, sizeof(extra),
-                "\"trace_overhead_pct\": %.2f, \"sample_every\": 64, "
-                "\"baseline_ms\": %.3f, \"cores\": %u",
-                overhead_pct, off_ms, std::thread::hardware_concurrency());
-  bench::WriteBenchJson("micro_metrics", summary, extra);
+// --- part 4: the sampler and the profiler, timed at their source -------------
+//
+// A paired plain-vs-instrumented whole-pipeline A/B cannot resolve a
+// sub-percent cost on a shared box: co-tenant interference moves identical
+// reps by far more than the budget. So each plane's cost is timed at its
+// source, min-over-blocks (for a fixed instruction sequence interference
+// only ever ADDS CPU time, so the minimum converges on the uninterfered
+// cost), and expressed as the share of one core the plane consumes in
+// steady state — the quantity the 3% budget bounds.
+
+double ProcessCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/// Re-times a block of `per_block` identical operations `blocks` times and
+/// keeps the cheapest per-op CPU cost seen.
+double MinBlockMs(int blocks, int per_block, const std::function<void()>& op) {
+  double best = 0.0;
+  for (int b = 0; b < blocks; ++b) {
+    const double c0 = ProcessCpuMs();
+    for (int i = 0; i < per_block; ++i) op();
+    const double one = (ProcessCpuMs() - c0) / per_block;
+    if (b == 0 || one < best) best = one;
+  }
+  return best;
+}
+
+struct PlaneCosts {
+  double obs_overhead_pct = 0.0;
+  double profiler_overhead_pct = 0.0;
+  size_t series = 0;
+};
+
+PlaneCosts BenchPlanesAtSource() {
+  RegisterStageThread("bench-main");
+  PlaneCosts costs;
+
+  // Time-series sampler: CPU per registry walk (SampleNow with the
+  // freshness hook installed) over the production sampling period.
+  obs::TimeSeriesStore::Options ts_options;
+  ts_options.capacity = 4096;
+  obs::TimeSeriesStore ts(&MetricRegistry::Default(), ts_options);
+  ts.SetPreSampleHook([](uint64_t now) {
+    obs::FreshnessTracker::Default().PublishGauges(&MetricRegistry::Default(),
+                                                   now);
+  });
+  const double walk_ms = MinBlockMs(8, 25, [&ts] { ts.SampleNow(); });
+  costs.obs_overhead_pct =
+      walk_ms / static_cast<double>(ts_options.sample_period_ms) * 100.0;
+  costs.series = ts.SeriesNames().size();
+
+  // Profiler: CPU per sample — kernel signal delivery + handler stack
+  // capture + ring write, driven through the real installed handler with
+  // raise(SIGPROF) on this registered thread — times hz samples per
+  // CPU-second at the production default rate. (The ring intentionally
+  // overwrites when full, so hammering it keeps the steady-state cost.)
+  obs::Profiler::Instance().Start(obs::Profiler::Options());
+  const double sample_ms = MinBlockMs(8, 200, [] { raise(SIGPROF); });
+  obs::Profiler::Instance().Stop();
+  costs.profiler_overhead_pct =
+      sample_ms * static_cast<double>(obs::Profiler::Options().hz) / 10.0;
+
+  std::printf("\n== planes timed at source ==\n");
+  std::printf("  sampler   %.4f ms/walk over %zu series  -> %.4f %% of a "
+              "core at %llu ms period\n",
+              walk_ms, costs.series, costs.obs_overhead_pct,
+              static_cast<unsigned long long>(ts_options.sample_period_ms));
+  std::printf("  profiler  %.5f ms/sample  -> %.4f %% of a core at %d Hz\n",
+              sample_ms, costs.profiler_overhead_pct,
+              obs::Profiler::Options().hz);
+  return costs;
 }
 
 }  // namespace
 
 int main() {
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);  // progress through a pipe
   BenchInstrumentOps();
-  BenchPipelineOverhead();
-  BenchTracingOverhead();
+  const auto stream = MakeStream(kActions);
+  BenchMetricsOverhead(stream);
+  const TraceResult trace = BenchTracingOverhead(stream);
+  const PlaneCosts planes = BenchPlanesAtSource();
+
+  // ops_per_sec: the traced (1-in-64) engine run, best rep.
+  char extra[320];
+  std::snprintf(extra, sizeof(extra),
+                "\"actions\": %d, \"reps\": %d, \"cores\": %u,\n  "
+                "\"trace_overhead_pct\": %.2f, \"sample_every\": 64, "
+                "\"baseline_ms\": %.3f,\n  "
+                "\"obs_overhead_pct\": %.4f, \"obs_series\": %zu, "
+                "\"profiler_overhead_pct\": %.4f",
+                kActions, kReps, std::thread::hardware_concurrency(),
+                trace.overhead_pct, trace.off_ms, planes.obs_overhead_pct,
+                planes.series, planes.profiler_overhead_pct);
+  bench::WriteBenchJson("micro_metrics", trace.traced, extra);
   return 0;
 }

@@ -155,45 +155,37 @@ int main() {
   std::printf("sim(1,2): offline=%.4f streaming=%.4f\n",
               model->Similarity(1, 2), live.value_or(-1.0));
 
-  // The same deployment with the sharded in-memory mirror enabled: every
-  // ProcessBatch also streams through the multi-threaded Fig. 4 pipeline,
-  // whose per-stage counters join the monitor report and whose queries
-  // skip the TDStore round-trip.
-  engine::TencentRec::Options mopts = options;
-  mopts.app.app = "ops-mirrored";
-  mopts.app.parallelism = 2;
-  mopts.mirror_parallel_cf = true;
-  mopts.mirror_user_shards = 4;
-  mopts.mirror_pair_shards = 4;
-  // The ops plane: sample 1 in 64 tuples end to end, serve the snapshot /
-  // health / traces over loopback HTTP, and watch for wedged stages.
-  mopts.trace_sample_every = 64;
-  mopts.enable_admin_server = true;  // port 0 = ephemeral
-  mopts.enable_watchdog = true;
+  // The same deployment with the ops plane on: sample 1 in 64 tuples end
+  // to end, serve the snapshot / health / traces over loopback HTTP, and
+  // watch every topology component for a wedged stage.
+  engine::TencentRec::Options oopts = options;
+  oopts.app.app = "ops-plane";
+  oopts.app.parallelism = 2;
+  oopts.trace_sample_every = 64;
+  oopts.enable_admin_server = true;  // port 0 = ephemeral
+  oopts.enable_watchdog = true;
   // The freshness/SLO plane: per-stage watermark lag gauges, a 10-minute
   // in-process metric history ring, and burn-rate objectives on /slo.
-  mopts.enable_timeseries = true;
-  mopts.enable_slo = true;
-  auto mirrored = engine::TencentRec::Create(mopts);
-  if (!mirrored.ok()) return 1;
-  if (!(*mirrored)->ProcessBatch(actions).ok()) return 1;
+  oopts.enable_timeseries = true;
+  oopts.enable_slo = true;
+  auto ops = engine::TencentRec::Create(oopts);
+  if (!ops.ok()) return 1;
+  if (!(*ops)->ProcessBatch(actions).ok()) return 1;
 
-  std::printf("\n-- monitor with parallel cf mirror --\n");
-  auto msnap = engine::CollectMonitorSnapshot(mirrored->get());
-  std::printf("%s\n", engine::FormatMonitorSnapshot(*msnap).c_str());
-  core::ParallelItemCf* mirror = (*mirrored)->parallel_cf();
-  std::printf("mirror sim(1,2)=%.4f\n", mirror->Similarity(1, 2));
-  auto recs = mirror->RecommendForUser(1, 3);
-  for (const auto& r : recs) {
-    std::printf("mirror rec for user 1: item %lld score %.4f\n",
+  std::printf("\n-- monitor with the ops plane on --\n");
+  auto osnap = engine::CollectMonitorSnapshot(ops->get());
+  std::printf("%s\n", engine::FormatMonitorSnapshot(*osnap).c_str());
+  auto recs = (*ops)->query().RecommendCf(1, 3, now);
+  for (const auto& r : recs.value_or(core::Recommendations{})) {
+    std::printf("rec for user 1: item %lld score %.4f\n",
                 static_cast<long long>(r.item), r.score);
   }
 
   // The embedded ops plane, exactly as an operator would curl it. Force
   // one sample so /slo and /timeseries answer deterministically instead
   // of waiting out the 1 s background sampler period.
-  (*mirrored)->timeseries()->SampleNow();
-  const int port = (*mirrored)->admin_server()->port();
+  (*ops)->timeseries()->SampleNow();
+  const int port = (*ops)->admin_server()->port();
   std::printf("\n-- admin server on 127.0.0.1:%d --\n", port);
   std::printf("$ curl :%d/healthz\n", port);
   PrintHead(HttpGet(port, "/healthz"), 8);

@@ -10,17 +10,22 @@
 #   3. the `durable` label on its own (torn-tail recovery sweeps, snapshot
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
-#   4. an AddressSanitizer+UBSan build running the `itemcf` label (the
+#   4. the end-to-end benchmark's correctness gate: one short
+#      `ingest_bulk` run of e2ebench/run.py must print a result line with
+#      "correct": true (store totals equal the serial oracle, every action
+#      consumed once, well-formed lists, identical replay);
+#   5. an AddressSanitizer+UBSan build running the `itemcf` label (the
 #      raw-memory flat tables, arena scratch, and SoA TopK of DESIGN.md
-#      §15, in both flat and legacy kernel modes);
-#   5. a ThreadSanitizer build running the `concurrent` label (sharded
-#      executor, striped histogram/tracer, batch clients, single-flight).
+#      §15, under the serial CF model and the flat-vs-legacy parity suite);
+#   6. a ThreadSanitizer build running the `concurrent` label (the tstorm
+#      executor and the store-backed topology, striped histogram/tracer,
+#      batch clients, single-flight query cache, profiler start/stop).
 #
 #   scripts/ci_verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #
 # Env:
-#   TR_SKIP_ASAN=1   skip step 4 (e.g. on hosts without ASan runtime)
-#   TR_SKIP_TSAN=1   skip step 5 (e.g. on hosts without TSan runtime)
+#   TR_SKIP_ASAN=1   skip step 5 (e.g. on hosts without ASan runtime)
+#   TR_SKIP_TSAN=1   skip step 6 (e.g. on hosts without TSan runtime)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -39,6 +44,20 @@ echo "=== profiler smoke: live engine, 2 s folded profile ==="
 
 echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 (cd "$build_dir" && ctest -L durable --output-on-failure)
+
+echo "=== e2ebench: ingest_bulk correctness gate ==="
+# run.py builds into .bench_build/ under the working directory and prints
+# the result as its last line.
+e2e_out="$(cd "$repo_root" && python3 e2ebench/run.py --workload ingest_bulk \
+  --seed 1 --seconds 6 --trace 0)"
+echo "$e2e_out" | tail -n 1
+echo "$e2e_out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result.get("correct") is True else 1)' || {
+  echo "e2ebench: result line is not \"correct\": true" >&2
+  exit 1
+}
 
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="

@@ -22,7 +22,7 @@ fi
 mkdir -p "$out_dir"
 
 # Benches that emit BENCH_<name>.json (see bench/bench_util.h).
-json_benches=(micro_itemcf micro_parallel micro_metrics micro_store micro_query
+json_benches=(micro_itemcf micro_metrics micro_store micro_query
               micro_recover)
 if [[ -n "${TR_BENCH_ONLY:-}" ]]; then
   read -r -a json_benches <<<"$TR_BENCH_ONLY"

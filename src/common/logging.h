@@ -24,8 +24,8 @@ LogLevel ParseLogLevel(const char* value, LogLevel fallback);
 
 namespace internal {
 /// Formats "[L file:line] message\n" into one buffer and emits it with a
-/// single stdio write, so concurrent workers (ParallelItemCf shards, tstorm
-/// tasks) never interleave fragments of each other's lines.
+/// single stdio write, so concurrent workers (tstorm tasks, store flush
+/// owners) never interleave fragments of each other's lines.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((format(printf, 4, 5)))
 #endif

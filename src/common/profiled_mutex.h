@@ -31,8 +31,8 @@ bool ContentionProfilingEnabled();
 void SetContentionProfilingEnabled(bool enabled);
 
 /// Aggregated contention statistics for one named lock site. Many mutexes
-/// may share a site (e.g. all ParallelItemCf count stripes register the one
-/// site "parallel_cf.count_stripe") — totals aggregate across instances.
+/// may share a site (e.g. every TDStore instance lock registers the one
+/// site "tdstore.instance") — totals aggregate across instances.
 class ContentionSite {
  public:
   explicit ContentionSite(std::string name);

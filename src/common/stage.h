@@ -14,9 +14,9 @@ namespace tencentrec {
 /// Process-wide thread/stage registry — the attribution substrate for the
 /// continuous profiling plane (DESIGN.md §13) and for external tools.
 ///
-/// Every worker thread the system spawns (ParallelItemCf user/pair shards,
-/// tstorm spouts and bolts, the combiner-bearing store bolts, BatchWriter
-/// flush owners, the monitor/watchdog/sampler/admin threads) calls
+/// Every worker thread the system spawns (tstorm spouts and bolts, the
+/// combiner-bearing store bolts, BatchWriter flush owners, the
+/// monitor/watchdog/sampler/admin threads) calls
 /// RegisterStageThread("<stage>") as its first act. That one call:
 ///
 ///   1. interns the stage name and publishes it in a thread-local slot the
@@ -26,7 +26,7 @@ namespace tencentrec {
 ///      create/destroy its per-thread CPU-time timer;
 ///   3. names the OS thread via pthread_setname_np (truncated to the
 ///      kernel's 15-char limit) so `top -H`, `perf` and TSan reports show
-///      "cf-pair3", not a wall of "tencentrec".
+///      "bolt.cf_pair", not a wall of "tencentrec".
 ///
 /// Stage ids are small dense integers, never reused within a process, so
 /// per-stage accounting can be a flat array indexed without hashing.

@@ -154,10 +154,9 @@ void PracticalItemCf::UpdatePair(ItemId i, ItemId j, double co_delta,
     // the erase shrinks a full list below K, TopK::Threshold() falls back
     // to 0 and pruning against that list pauses until the list refills —
     // the conservative reopen (an under-full list admits any positive
-    // score, so keeping the old threshold would over-prune). In this
-    // single-threaded pipeline the entry is usually absent already (its
-    // own update just refreshed the score, making it the threshold), but
-    // the sharded executor's racy similarity reads make the erase real.
+    // score, so keeping the old threshold would over-prune). The entry is
+    // usually absent already (its own update just refreshed the score,
+    // making it the threshold), so the erase is a cheap safety net.
     if (TopK<ItemId>* li = const_cast<TopK<ItemId>*>(FindList(i))) {
       li->Erase(j);
     }

@@ -14,9 +14,7 @@
 namespace tencentrec::core {
 
 /// Real-time personalized prediction (Eq. 2 restricted to the user's
-/// recent-k items, §4.3), shared by the single-process reference
-/// (PracticalItemCf) and the sharded executor (ParallelItemCf) so the two
-/// implementations are prediction-identical by construction.
+/// recent-k items, §4.3) for the in-memory CF model (PracticalItemCf).
 ///
 /// `similar_items(ItemId) -> const TopK<ItemId>*` supplies candidate
 /// generation (nullptr when the item has no list yet);
@@ -25,8 +23,8 @@ namespace tencentrec::core {
 ///
 /// Scratch (candidate set, rating cache, scored buffer) lives in a
 /// thread-local arena reset per call: steady-state queries allocate only
-/// the returned Recommendations vector. Thread-local because the sharded
-/// executor serves this from concurrent query threads.
+/// the returned Recommendations vector. Thread-local so concurrent const
+/// readers of one model never share scratch.
 template <typename SimilarItemsFn, typename EffectiveSimFn>
 Recommendations PredictFromRecent(const UserHistory& history,
                                   const std::vector<ItemId>& recent,

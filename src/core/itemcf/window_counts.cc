@@ -17,24 +17,12 @@ WindowedCounts::Session* WindowedCounts::SessionFor(EventTime ts) {
   }
 
   const int64_t id = SessionOf(ts);
-  if (defer_eviction_) {
-    // Deferred mode (sharded executor): only track the high-water mark;
-    // eviction waits for the explicit AdvanceTo at the drain barrier. An
-    // event is "late" only if its session was already evicted by a prior
-    // barrier — being behind the high-water mark just means a sibling
-    // shard ran ahead.
-    if (id > latest_session_) latest_session_ = id;
-    if (id < evicted_floor_) {
-      return sessions_.empty() ? nullptr : &sessions_.front();
-    }
-  } else {
-    AdvanceTo(ts);
-    if (!InWindow(id)) {
-      // Out-of-window late data folds into the oldest live session rather
-      // than resurrecting an expired one; with nothing live it is already
-      // fully expired and is dropped.
-      return sessions_.empty() ? nullptr : &sessions_.front();
-    }
+  AdvanceTo(ts);
+  if (!InWindow(id)) {
+    // Out-of-window late data folds into the oldest live session rather
+    // than resurrecting an expired one; with nothing live it is already
+    // fully expired and is dropped.
+    return sessions_.empty() ? nullptr : &sessions_.front();
   }
   // The deque is ordered by session id, so eviction stays front-only and
   // reads need no in-window filtering. Hot path first: in-order streams
@@ -69,8 +57,6 @@ void WindowedCounts::AdvanceTo(EventTime ts) {
     }
     sessions_.pop_front();
   }
-  const int64_t floor = latest_session_ - window_sessions_ + 1;
-  if (floor > evicted_floor_) evicted_floor_ = floor;
 }
 
 void WindowedCounts::AddItem(ItemId item, double delta, EventTime ts) {
@@ -152,26 +138,6 @@ size_t WindowedCounts::TrackedItems() const {
     for (const auto& [item, c] : s.items_map) seen.insert(item);
   }
   return seen.size();
-}
-
-void WindowedCounts::VisitItemCounts(
-    const std::function<void(ItemId, double)>& visitor) const {
-  if (use_flat_) {
-    FlatMap64<double> totals;
-    for (const auto& s : sessions_) {
-      s.items_flat.ForEach(
-          [&totals](uint64_t key, double c) { totals[key] += c; });
-    }
-    totals.ForEach([&visitor](uint64_t key, double total) {
-      visitor(static_cast<ItemId>(key), total);
-    });
-    return;
-  }
-  std::unordered_map<ItemId, double> totals;
-  for (const auto& s : sessions_) {
-    for (const auto& [item, c] : s.items_map) totals[item] += c;
-  }
-  for (const auto& [item, total] : totals) visitor(item, total);
 }
 
 size_t WindowedCounts::TrackedPairs() const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -51,19 +50,6 @@ class WindowedCounts {
         window_sessions_(window_sessions),
         use_flat_(use_flat_tables) {}
 
-  /// Deferred-eviction mode, for the sharded executor: events always land
-  /// in their true session — even when the high-water mark has already
-  /// advanced past their window — and expired sessions are dropped only by
-  /// explicit AdvanceTo() calls (the drain barrier). With eager eviction a
-  /// shard that runs slightly behind its siblings would see its in-order
-  /// events misclassified as late (folded forward) whenever the stream
-  /// jumps across sessions; deferring eviction to the barrier makes the
-  /// drained state identical to a serial run of the same stream. The cost
-  /// is that between drains the deque can briefly hold more than
-  /// window_sessions_ sessions (bounded by the event-time span since the
-  /// last drain).
-  void SetDeferredEviction(bool defer) { defer_eviction_ = defer; }
-
   /// Adds ∆r to itemCount(item) in the session containing `ts`.
   void AddItem(ItemId item, double delta, EventTime ts);
 
@@ -75,18 +61,6 @@ class WindowedCounts {
 
   /// Σ_w pairCount_w(a, b) over the window ending at the latest session.
   double PairCount(ItemId a, ItemId b) const;
-
-  /// Hints the cache lines AddPair/PairCount will touch for (a, b): the
-  /// windowed total's slot and the newest session's slot (where in-order
-  /// streams land). Batch loops call this one delta ahead so the
-  /// random-access misses overlap the current delta's work. Flat kernel
-  /// only; a no-op for the legacy tables.
-  void PrefetchPair(ItemId a, ItemId b) const {
-    if (!use_flat_) return;
-    const uint64_t key = PackPair(a, b);
-    pairs_total_.Prefetch(key);
-    if (!sessions_.empty()) sessions_.back().pairs_flat.Prefetch(key);
-  }
 
   /// sim(a, b) = pairCount / (√itemCount(a) · √itemCount(b))  (Eq. 5/10).
   /// Zero when either itemCount is empty.
@@ -103,12 +77,6 @@ class WindowedCounts {
   /// Distinct items/pairs currently tracked (across live sessions).
   size_t TrackedItems() const;
   size_t TrackedPairs() const;
-
-  /// Visits every tracked item with its windowed total (Σ over live
-  /// sessions) — the read side of checkpoint/mirror exports. Order is
-  /// unspecified.
-  void VisitItemCounts(
-      const std::function<void(ItemId, double)>& visitor) const;
 
  private:
   struct Session {
@@ -135,16 +103,11 @@ class WindowedCounts {
   const EventTime session_length_;
   const int window_sessions_;
   const bool use_flat_;
-  bool defer_eviction_ = false;
   int64_t latest_session_ = -1;
   /// Flat kernel only: Σ over live sessions, maintained incrementally (see
   /// the class comment). May hold exact-0.0 zombies for evicted keys.
   FlatMap64<double> items_total_;
   FlatMap64<double> pairs_total_;
-  /// Sessions below this id have been evicted (deferred mode only): a
-  /// straggler event for one of them is genuinely late, not just behind a
-  /// sibling shard, and takes the fold-or-drop path.
-  int64_t evicted_floor_ = INT64_MIN;
   /// Live sessions, ordered by ascending session id; at most
   /// window_sessions_ of them (or one cumulative pseudo-session when
   /// windowing is off). The ordering invariant makes eviction front-only

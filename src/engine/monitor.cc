@@ -95,13 +95,6 @@ Result<MonitorSnapshot> CollectMonitorSnapshot(TencentRec* engine) {
                                  m.busy_micros});
   }
 
-  if (const core::ParallelItemCf* cf = engine->parallel_cf()) {
-    for (const auto& s : cf->stage_stats()) {
-      snapshot.pipeline.push_back(
-          {s.stage, s.workers, s.events, s.batches, s.busy_micros});
-    }
-  }
-
   tdstore::Cluster* store = engine->store();
   for (int s = 0; s < store->num_data_servers(); ++s) {
     const tdstore::DataServer* server = store->data_server(s);
@@ -170,32 +163,6 @@ std::string FormatMonitorSnapshot(const MonitorSnapshot& snapshot) {
               static_cast<unsigned long long>(e2s->max));
     }
     out += "\n";
-  }
-  if (!snapshot.pipeline.empty()) {
-    out += "== parallel cf pipeline ==\n";
-    for (const auto& row : snapshot.pipeline) {
-      const double mean_us =
-          row.events > 0 ? static_cast<double>(row.busy_micros) /
-                               static_cast<double>(row.events)
-                         : 0.0;
-      Appendf(&out,
-              "  %-16s workers=%-3d events=%-10llu batches=%-8llu "
-              "busy=%llums mean=%.1fus",
-              row.stage.c_str(), row.workers,
-              static_cast<unsigned long long>(row.events),
-              static_cast<unsigned long long>(row.batches),
-              static_cast<unsigned long long>(row.busy_micros / 1000),
-              mean_us);
-      const auto* service = snapshot.FindLatency(
-          "parallel_cf." + snapshot.app + "." + row.stage + ".service_us");
-      if (service != nullptr && service->hist.count > 0) {
-        Appendf(&out, " service[p50=%.0fus p95=%.0fus p99=%.0fus]",
-                service->hist.Percentile(0.50),
-                service->hist.Percentile(0.95),
-                service->hist.Percentile(0.99));
-      }
-      out += "\n";
-    }
   }
   out += "== tdstore ==\n";
   for (const auto& row : snapshot.store) {
@@ -322,17 +289,6 @@ std::string ExportJson(const MonitorSnapshot& snapshot) {
             static_cast<unsigned long long>(row.executed),
             static_cast<unsigned long long>(row.emitted),
             static_cast<unsigned long long>(row.restarts),
-            static_cast<unsigned long long>(row.busy_micros));
-  }
-  out += "],\"pipeline\":[";
-  for (size_t i = 0; i < snapshot.pipeline.size(); ++i) {
-    const auto& row = snapshot.pipeline[i];
-    Appendf(&out,
-            "%s{\"stage\":\"%s\",\"workers\":%d,\"events\":%llu,"
-            "\"batches\":%llu,\"busy_micros\":%llu}",
-            i == 0 ? "" : ",", JsonEscape(row.stage).c_str(), row.workers,
-            static_cast<unsigned long long>(row.events),
-            static_cast<unsigned long long>(row.batches),
             static_cast<unsigned long long>(row.busy_micros));
   }
   out += "],\"store\":[";
@@ -584,6 +540,14 @@ std::vector<std::string> StallWatchdog::StalledComponents() const {
   for (const auto& w : watches_) {
     if (w.stalled) out.push_back(w.source.name);
   }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> StallWatchdog::SourceNames() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> out;
+  for (const auto& w : watches_) out.push_back(w.source.name);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -19,8 +19,8 @@ namespace tencentrec::engine {
 /// of a TencentRec deployment — topology throughput from the last run,
 /// TDStore load and key counts per data server, ingestion backlog on the
 /// TDAccess topic, and every instrument registered in the process-wide
-/// MetricRegistry (event-to-store latency per component, pipeline stage
-/// timings, store op latency, consumer staleness).
+/// MetricRegistry (event-to-store latency per component, store op
+/// latency, consumer staleness).
 struct MonitorSnapshot {
   struct ComponentRow {
     std::string component;
@@ -35,15 +35,6 @@ struct MonitorSnapshot {
     int64_t reads = 0;
     int64_t writes = 0;
     size_t keys = 0;
-  };
-  /// One stage of the in-memory sharded CF pipeline (ParallelItemCf),
-  /// present when the engine runs with mirror_parallel_cf.
-  struct PipelineRow {
-    std::string stage;
-    int workers = 0;
-    uint64_t events = 0;
-    uint64_t batches = 0;
-    uint64_t busy_micros = 0;
   };
   /// One registry latency histogram, frozen at collection time. Percentiles
   /// are computed from this snapshot so a single report is self-consistent.
@@ -65,7 +56,6 @@ struct MonitorSnapshot {
   std::string app;
   std::vector<ComponentRow> topology;
   std::vector<StoreRow> store;
-  std::vector<PipelineRow> pipeline;
   std::vector<LatencyRow> latencies;
   std::vector<CounterRow> counters;
   std::vector<GaugeRow> gauges;
@@ -142,10 +132,9 @@ SnapshotDelta ComputeSnapshotDelta(const MonitorSnapshot& before,
 /// out from under a dead worker); only forward motion clears the flag.
 ///
 /// Sources are engine-provided closures (a tstorm component's heartbeat +
-/// queue depth, a ParallelItemCf stage, a TDAccess consumer), so this class
-/// depends on nothing but obs/. Registration is allowed while the thread
-/// runs; a new source is seeded on its first sweep and judged from its
-/// second.
+/// queue depth, a TDAccess consumer), so this class depends on nothing but
+/// obs/. Registration is allowed while the thread runs; a new source is
+/// seeded on its first sweep and judged from its second.
 class StallWatchdog {
  public:
   struct Options {
@@ -186,6 +175,9 @@ class StallWatchdog {
 
   /// Names of currently-stalled components, sorted.
   std::vector<std::string> StalledComponents() const;
+
+  /// Names of every registered source, sorted.
+  std::vector<std::string> SourceNames() const;
 
   uint64_t sweeps() const;
 

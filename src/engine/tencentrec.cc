@@ -11,7 +11,6 @@
 #include "engine/monitor.h"
 #include "obs/freshness.h"
 #include "obs/profiler.h"
-#include "tdstore/batch_writer.h"
 #include "topo/action_codec.h"
 #include "topo/blob_codec.h"
 #include "topo/spouts.h"
@@ -66,23 +65,6 @@ Status TencentRec::Init() {
   }
   query_ = std::make_unique<topo::StoreQuery>(app_.get(), query_cache_);
 
-  if (options_.mirror_parallel_cf) {
-    core::ParallelItemCf::Options popts;
-    popts.cf.weights = options_.app.weights;
-    popts.cf.linked_time = options_.app.linked_time;
-    popts.cf.top_k = options_.app.top_k;
-    popts.cf.recent_k = options_.app.recent_k;
-    popts.cf.session_length = options_.app.session_length;
-    popts.cf.window_sessions = options_.app.window_sessions;
-    popts.cf.enable_pruning = options_.app.enable_pruning;
-    popts.cf.hoeffding_delta = options_.app.hoeffding_delta;
-    popts.cf.use_flat_kernels = options_.app.use_flat_kernels;
-    popts.user_shards = options_.mirror_user_shards;
-    popts.pair_shards = options_.mirror_pair_shards;
-    popts.metrics_scope = "parallel_cf." + options_.app.app;
-    parallel_cf_ = std::make_unique<core::ParallelItemCf>(popts);
-  }
-
   if (options_.trace_sample_every > 0) {
     SetTraceSampleEvery(options_.trace_sample_every);
   }
@@ -92,15 +74,6 @@ Status TencentRec::Init() {
     wopts.period_ms = options_.watchdog_period_ms;
     wopts.health = &health_;
     watchdog_ = std::make_unique<StallWatchdog>(wopts);
-    if (parallel_cf_ != nullptr) {
-      core::ParallelItemCf* cf = parallel_cf_.get();
-      watchdog_->Register({"parallel_cf.user-history",
-                           [cf] { return cf->StageHeartbeat(false); },
-                           [cf] { return cf->StageBacklog(false); }});
-      watchdog_->Register({"parallel_cf.count+sim",
-                           [cf] { return cf->StageHeartbeat(true); },
-                           [cf] { return cf->StageBacklog(true); }});
-    }
     watchdog_->Start();
   }
 
@@ -491,30 +464,9 @@ Status TencentRec::ProcessBatch(
   Status run = RunTopology(
       [batch] { return std::make_unique<topo::VectorActionSpout>(batch); },
       restart_components, /*spout_parallelism=*/1);
-  if (run.ok() && parallel_cf_ != nullptr) {
-    // Mirror the batch through the in-memory sharded pipeline and drain so
-    // its query surface is immediately consistent with this batch.
-    if (TracingEnabled()) {
-      // The spout samples its own copies, so the mirror must make its own
-      // edge decision for the shard-stage spans to fire.
-      std::vector<core::UserAction> stamped = actions;
-      for (auto& a : stamped) {
-        if (a.trace_id == 0) a.trace_id = MaybeStartTrace();
-      }
-      parallel_cf_->ProcessActions(stamped);
-    } else {
-      parallel_cf_->ProcessActions(actions);
-    }
-    parallel_cf_->Drain();
-    if (options_.mirror_checkpoint) {
-      Status ckpt = CheckpointMirror();
-      if (!ckpt.ok()) return ckpt;
-    }
-  }
   if (run.ok()) {
-    // Everything this batch wrote — topology bolts and the mirror
-    // checkpoint's BatchWriter flush — is now in the store, so the whole
-    // batch commits as one barrier across every server's WAL.
+    // Everything this batch's bolts wrote is now in the store, so the
+    // whole batch commits as one barrier across every server's WAL.
     TR_RETURN_IF_ERROR(CommitStoreBarrier());
   }
   // Batch boundary: the topology just rewrote counters/lists the query tier
@@ -536,26 +488,6 @@ Status TencentRec::CommitStoreBarrier() {
 }
 
 Status TencentRec::Checkpoint() { return store_->Checkpoint(barrier_seq_); }
-
-Status TencentRec::CheckpointMirror() {
-  tdstore::BatchWriter::Options wopts;
-  wopts.max_ops = options_.app.store_batch_max_ops;
-  tdstore::BatchWriter writer(admin_client_.get(), wopts);
-  parallel_cf_->VisitItemCounts([&](core::ItemId item, double total) {
-    writer.PutDouble(app_->keys.MirrorItemCount(item), total);
-  });
-  parallel_cf_->VisitSimilarLists(
-      [&](core::ItemId item, const TopK<core::ItemId>& list) {
-        core::Recommendations recs;
-        recs.reserve(list.size());
-        for (size_t r = 0; r < list.size(); ++r) {
-          recs.push_back({list.id_at(r), list.score_at(r)});
-        }
-        writer.Put(app_->keys.MirrorSimilar(item),
-                   topo::EncodeScoredList(recs));
-      });
-  return writer.Flush();
-}
 
 Status TencentRec::PublishActions(
     const std::vector<core::UserAction>& actions) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/itemcf/parallel_cf.h"
 #include "obs/admin_server.h"
 #include "obs/health.h"
 #include "obs/slo.h"
@@ -52,21 +51,6 @@ class TencentRec {
     /// each ProcessBatch sizes the keyed bolts from the batch's event rate.
     double auto_parallelism_event_cost_us = 50.0;
     size_t queue_capacity = 4096;
-    /// Also stream every ProcessBatch through an in-memory sharded
-    /// ParallelItemCf (the Fig. 4 pipeline as real threads). Durable state
-    /// stays in TDStore; the mirror serves low-latency similarity /
-    /// recommendation queries without a store round-trip, and its
-    /// per-stage counters appear in the monitor snapshot.
-    bool mirror_parallel_cf = false;
-    int mirror_user_shards = 2;
-    int mirror_pair_shards = 2;
-    /// After each mirrored batch drains, export the mirror's windowed
-    /// itemCount totals and similar-items lists into TDStore
-    /// (Keys::MirrorItemCount / MirrorSimilar) through the write-behind
-    /// BatchWriter — a store-backed checkpoint of the in-memory state that
-    /// costs a handful of grouped per-host calls instead of one put per
-    /// item. Requires mirror_parallel_cf.
-    bool mirror_checkpoint = false;
     /// With store durability on (store.durability.enabled): checkpoint the
     /// TDStore cluster every N batches — snapshot all instances, truncate
     /// the WALs behind them — so recovery replays a bounded log. 0 never
@@ -83,8 +67,8 @@ class TencentRec {
     bool enable_admin_server = false;
     std::string admin_bind_address = "127.0.0.1";
     int admin_port = 0;
-    /// Background stall watchdog over the ParallelItemCf mirror stages (and
-    /// any topology run) — flips /healthz to degraded on a wedged stage.
+    /// Background stall watchdog over every running topology component —
+    /// flips /healthz to degraded on a wedged stage.
     bool enable_watchdog = false;
     uint64_t watchdog_period_ms = 250;
     /// In-process metric history: a background sampler snapshots the
@@ -162,12 +146,6 @@ class TencentRec {
   /// --- introspection / fault injection ---
   tdstore::Cluster* store() { return store_.get(); }
   tdaccess::Cluster* access() { return access_.get(); }
-  /// The in-memory sharded CF mirror (nullptr unless mirror_parallel_cf).
-  /// Drained after every ProcessBatch, so queries on it are always valid.
-  core::ParallelItemCf* parallel_cf() { return parallel_cf_.get(); }
-  const core::ParallelItemCf* parallel_cf() const {
-    return parallel_cf_.get();
-  }
   const topo::AppContext& app() const { return *app_; }
   const Options& options() const { return options_; }
   /// Metrics of the most recent topology run.
@@ -191,13 +169,10 @@ class TencentRec {
   Status RunTopology(tstorm::SpoutFactory spout,
                      const std::vector<std::string>& restart_components,
                      int spout_parallelism);
-  /// Exports the drained mirror's state into TDStore through a BatchWriter
-  /// (mirror_checkpoint).
-  Status CheckpointMirror();
   /// Post-batch durability hook: appends the next commit barrier to every
-  /// store WAL (after the mirror checkpoint's BatchWriter flush, so the
-  /// barrier covers a consistent post-flush state) and auto-checkpoints on
-  /// the configured interval. No-op when durability is off.
+  /// store WAL (after the topology's BatchWriter flushes, so the barrier
+  /// covers a consistent post-flush state) and auto-checkpoints on the
+  /// configured interval. No-op when durability is off.
   Status CommitStoreBarrier();
 
   Options options_;
@@ -208,7 +183,6 @@ class TencentRec {
   std::unique_ptr<tdaccess::Producer> producer_;
   std::shared_ptr<topo::QueryCache> query_cache_;
   std::unique_ptr<topo::StoreQuery> query_;
-  std::unique_ptr<core::ParallelItemCf> parallel_cf_;
   std::vector<tstorm::ComponentMetrics> last_metrics_;
   int64_t batches_run_ = 0;
   /// Monotone commit-barrier sequence; seeded from the store's recovered
@@ -224,9 +198,8 @@ class TencentRec {
   /// True when this engine's Init() started the process-wide profiler (so
   /// only this engine's destructor stops it).
   bool profiler_started_ = false;
-  /// Declared after the things its sources sample (parallel_cf_); destroyed
-  /// first by the explicit destructor, which stops it before anything it
-  /// watches goes away.
+  /// Destroyed first by the explicit destructor, which stops it before
+  /// anything it watches goes away.
   std::unique_ptr<StallWatchdog> watchdog_;
 };
 

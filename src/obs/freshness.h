@@ -17,9 +17,9 @@ namespace tencentrec::obs {
 /// Event-time watermark tracking for the freshness half of the SLO plane.
 ///
 /// Every stage of the processing path — the ingest edge (spouts/producers),
-/// each topology bolt, each ParallelItemCf layer — owns one Slot per
-/// instance and advances it with the `ingest_micros` stamp of the tuples it
-/// has *fully processed* (state landed in the store / shard state applied).
+/// each topology bolt — owns one Slot per instance and advances it with the
+/// `ingest_micros` stamp of the tuples it has *fully processed* (state
+/// landed in the store).
 /// The tracker derives per-stage watermarks and freshness lags from those
 /// slots:
 ///

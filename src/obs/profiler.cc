@@ -89,9 +89,13 @@ void SigprofHandler(int /*sig*/, siginfo_t* /*info*/, void* ucv) {
   g_total_samples.fetch_add(1, std::memory_order_relaxed);
   g_stage_samples[stage].fetch_add(1, std::memory_order_relaxed);
 
+  // Acquire pairs with EnsureRing's release store: the ring may have been
+  // allocated by another thread (Start) that this one never otherwise
+  // synchronized with, and its fields must be visible before the reads
+  // below. A lock-free atomic load is async-signal-safe.
   const int slot = CurrentStageSlot();
   SampleRing* ring = (slot >= 0 && slot < kMaxStageThreads)
-                         ? g_rings[slot].load(std::memory_order_relaxed)
+                         ? g_rings[slot].load(std::memory_order_acquire)
                          : nullptr;
   if (ring == nullptr) {
     errno = saved_errno;

@@ -164,22 +164,35 @@ Status BatchWriter::Flush() {
   // Staging detached these writes from the Executes that issued them;
   // re-attach each sampled op by spanning this flush's store call under its
   // staged trace id, so a sampled trace still reaches tdstore.write.
-  auto sampled_spans = [&ops](const std::vector<size_t>& src) {
+  // Each ScopedSpan restores the trace context it replaced when it dies, so
+  // the nested spans must die innermost first: a front-to-back teardown
+  // would leave the thread stuck in the first op's trace, and every later
+  // store op on it would be spanned (and staged) under that trace.
+  struct SpanStack {
     std::vector<std::unique_ptr<ScopedSpan>> spans;
+    SpanStack() = default;
+    SpanStack(const SpanStack&) = delete;
+    SpanStack& operator=(const SpanStack&) = delete;
+    ~SpanStack() {
+      while (!spans.empty()) spans.pop_back();
+    }
+  };
+  auto open_sampled_spans = [&ops](const std::vector<size_t>& src,
+                                   SpanStack* stack) {
     for (size_t i : src) {
       if (ops[i].trace_id != 0) {
-        spans.push_back(
+        stack->spans.push_back(
             std::make_unique<ScopedSpan>(ops[i].trace_id, "tdstore.write"));
       }
     }
-    return spans;
   };
 
   if (!puts.empty()) {
     std::vector<Status> statuses;
     Status overall;
     {
-      auto spans = sampled_spans(put_src);
+      SpanStack spans;
+      open_sampled_spans(put_src, &spans);
       overall = client_->MultiPut(puts, &statuses);
     }
     for (size_t i = 0; i < put_src.size(); ++i) {
@@ -192,7 +205,8 @@ Status BatchWriter::Flush() {
     std::vector<Result<double>> results;
     Status overall;
     {
-      auto spans = sampled_spans(dadd_src);
+      SpanStack spans;
+      open_sampled_spans(dadd_src, &spans);
       overall = client_->MultiIncrDouble(dadds, &results);
     }
     for (size_t i = 0; i < dadd_src.size(); ++i) {
@@ -208,7 +222,8 @@ Status BatchWriter::Flush() {
     std::vector<Result<int64_t>> results;
     Status overall;
     {
-      auto spans = sampled_spans(iadd_src);
+      SpanStack spans;
+      open_sampled_spans(iadd_src, &spans);
       overall = client_->MultiIncrInt64(iadds, &results);
     }
     for (size_t i = 0; i < iadd_src.size(); ++i) {

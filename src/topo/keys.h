@@ -98,17 +98,6 @@ class Keys {
     return "rec:" + app_ + ":" + std::to_string(user);
   }
 
-  /// Windowed itemCount total exported from the in-memory CF mirror at
-  /// checkpoint time (double).
-  std::string MirrorItemCount(core::ItemId item) const {
-    return "mic:" + app_ + ":" + std::to_string(item);
-  }
-
-  /// Serialized similar-items top-K list exported from the CF mirror.
-  std::string MirrorSimilar(core::ItemId item) const {
-    return "msim:" + app_ + ":" + std::to_string(item);
-  }
-
  private:
   std::string app_;
 };

@@ -34,10 +34,14 @@ Result<tstorm::TopologySpec> BuildAppTopology(const AppContext* app,
   builder.SetSpout("spout", std::move(spout),
                    spout_parallelism < 1 ? 1 : spout_parallelism);
 
+  // Keyed by user from the spout on: UserHistoryBolt's linked-time test
+  // compares each action against the user's earlier ones, so one user's
+  // actions must reach it in stream order. A shuffle here would let two
+  // pretreatment instances reorder them.
   builder
       .SetBolt("pretreatment",
                [app] { return std::make_unique<PretreatmentBolt>(app); }, p)
-      .ShuffleGrouping("spout");
+      .FieldsGrouping("spout", {"user"});
 
   builder
       .SetBolt("user_history",

@@ -402,85 +402,5 @@ TEST(EngineTest, ParallelSpoutsSplitTopicPartitions) {
   EXPECT_EQ((*recs)[0].item, 102);
 }
 
-TEST(EngineTest, ParallelCfMirrorMatchesReference) {
-  TencentRec::Options options = BaseOptions("mirrored");
-  options.mirror_parallel_cf = true;
-  auto engine = TencentRec::Create(options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->ProcessBatch(CliqueTraffic()).ok());
-
-  core::ParallelItemCf* mirror = (*engine)->parallel_cf();
-  ASSERT_NE(mirror, nullptr);
-
-  // The mirror ran the identical algorithm configuration over the identical
-  // batch, so its drained state matches a serial reference exactly.
-  core::PracticalItemCf::Options ref_opts;
-  ref_opts.weights = options.app.weights;
-  ref_opts.linked_time = options.app.linked_time;
-  ref_opts.top_k = options.app.top_k;
-  ref_opts.recent_k = options.app.recent_k;
-  ref_opts.session_length = options.app.session_length;
-  ref_opts.window_sessions = options.app.window_sessions;
-  ref_opts.enable_pruning = options.app.enable_pruning;
-  ref_opts.hoeffding_delta = options.app.hoeffding_delta;
-  core::PracticalItemCf reference(ref_opts);
-  for (const auto& a : CliqueTraffic()) reference.ProcessAction(a);
-
-  EXPECT_NEAR(mirror->Similarity(101, 102), reference.Similarity(101, 102),
-              1e-12);
-  EXPECT_GT(mirror->Similarity(101, 102), 0.0);
-  auto recs = mirror->RecommendForUser(50, 3);
-  ASSERT_FALSE(recs.empty());
-  EXPECT_EQ(recs[0].item, 102);  // same answer as the store path
-
-  // The mirror's stage counters surface through the monitor snapshot.
-  auto snapshot = CollectMonitorSnapshot(engine->get());
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_EQ(snapshot->pipeline.size(), 2u);
-  EXPECT_EQ(snapshot->pipeline[0].stage, "user-history");
-  EXPECT_EQ(snapshot->pipeline[0].events, CliqueTraffic().size());
-  EXPECT_GT(snapshot->pipeline[0].workers, 0);
-  EXPECT_EQ(snapshot->pipeline[1].stage, "count+sim");
-  const std::string report = FormatMonitorSnapshot(*snapshot);
-  EXPECT_NE(report.find("parallel cf pipeline"), std::string::npos);
-  EXPECT_NE(report.find("user-history"), std::string::npos);
-}
-
-TEST(EngineTest, MirrorCheckpointExportsStateThroughBatchWriter) {
-  TencentRec::Options options = BaseOptions("ckpt");
-  options.mirror_parallel_cf = true;
-  options.mirror_checkpoint = true;
-  auto engine = TencentRec::Create(options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE((*engine)->ProcessBatch(CliqueTraffic()).ok());
-
-  core::ParallelItemCf* mirror = (*engine)->parallel_cf();
-  ASSERT_NE(mirror, nullptr);
-  tdstore::Client client((*engine)->store());
-  const topo::Keys& keys = (*engine)->app().keys;
-
-  // Every tracked item's windowed total landed in the store under the
-  // mirror key schema, value-identical to the live mirror state.
-  int visited = 0;
-  mirror->VisitItemCounts([&](core::ItemId item, double total) {
-    ++visited;
-    auto stored = client.GetDouble(keys.MirrorItemCount(item), -1.0);
-    ASSERT_TRUE(stored.ok()) << item;
-    EXPECT_DOUBLE_EQ(*stored, total) << item;
-  });
-  EXPECT_GT(visited, 0);
-
-  // So did the similar-items lists — decodable and matching the live top-K.
-  auto blob = client.Get(keys.MirrorSimilar(101));
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  auto list = topo::DecodeScoredList(*blob);
-  ASSERT_TRUE(list.ok());
-  const TopK<core::ItemId>* live = mirror->SimilarItems(101);
-  ASSERT_NE(live, nullptr);
-  ASSERT_EQ(list->size(), live->entries().size());
-  EXPECT_EQ((*list)[0].item, 102);
-  EXPECT_DOUBLE_EQ((*list)[0].score, live->entries()[0].score);
-}
-
 }  // namespace
 }  // namespace tencentrec::engine

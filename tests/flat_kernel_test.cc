@@ -17,7 +17,6 @@
 #include "common/topk.h"
 #include "core/itemcf/item_cf.h"
 #include "core/itemcf/pair_key.h"
-#include "core/itemcf/parallel_cf.h"
 
 namespace tencentrec::core {
 namespace {
@@ -339,78 +338,6 @@ TEST(FlatKernelParityTest, PruneEraseReopenTrace) {
   for (const auto& action : actions) probe.ProcessAction(action);
   EXPECT_GT(probe.stats().pairs_pruned, 0);
   EXPECT_GT(probe.stats().pair_updates_pruned, 0);
-}
-
-// --- sharded executor: legacy kernel parity (TSan workload) ------------------
-
-TEST(FlatKernelParityTest, ParallelLegacyKernelMatchesFlat) {
-  // The sharded executor in legacy-kernel mode must drain to the same state
-  // as flat-kernel mode. Parity configuration (no overflow, no pruning), so
-  // state is a pure commutative sum; dyadic action weights make those sums
-  // exact in any interleaving, hence exact equality across modes. Runs
-  // both multi-threaded pipelines -> part of the `concurrent` TSan label.
-  const int kUsers = 16, kItems = 20;
-  const auto actions = RandomActions(41, 1500, kUsers, kItems);
-
-  ParallelItemCf::Options options;
-  options.cf.linked_time = Days(30);
-  options.cf.window_sessions = 0;
-  options.cf.enable_pruning = false;
-  options.cf.top_k = kItems + 8;
-  options.user_shards = 4;
-  options.pair_shards = 4;
-  options.batch_size = 7;
-  options.queue_capacity = 4;
-  options.count_stripes = 8;
-  options.list_stripes = 8;
-
-  options.cf.use_flat_kernels = true;
-  ParallelItemCf flat(options);
-  options.cf.use_flat_kernels = false;
-  ParallelItemCf legacy(options);
-
-  flat.ProcessActions(actions);
-  legacy.ProcessActions(actions);
-  flat.Drain();
-  legacy.Drain();
-
-  EXPECT_EQ(flat.stats().actions, legacy.stats().actions);
-  EXPECT_EQ(flat.stats().pair_updates, legacy.stats().pair_updates);
-  for (ItemId a = 1; a <= kItems; ++a) {
-    for (ItemId b = a + 1; b <= kItems; ++b) {
-      EXPECT_EQ(flat.Similarity(a, b), legacy.Similarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.EffectiveSimilarity(a, b),
-                legacy.EffectiveSimilarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-    }
-  }
-  for (UserId u = 1; u <= kUsers; ++u) {
-    EXPECT_EQ(flat.RecentItemsOf(u), legacy.RecentItemsOf(u)) << "user " << u;
-    for (ItemId i = 1; i <= kItems; ++i) {
-      EXPECT_EQ(flat.UserRating(u, i), legacy.UserRating(u, i))
-          << "user " << u << " item " << i;
-    }
-    // Recommendations use racy-snapshot list membership only for candidate
-    // generation; in the no-overflow configuration membership is
-    // deterministic, and scores recompute from drained counts.
-    EXPECT_EQ(flat.RecommendForUser(u, 5), legacy.RecommendForUser(u, 5))
-        << "user " << u;
-  }
-
-  // Mirror-export walk sees the same (item, total) set in both modes.
-  FlatMap64<double> flat_totals, legacy_totals;
-  flat.VisitItemCounts(
-      [&](ItemId item, double total) { flat_totals[PackItem(item)] = total; });
-  legacy.VisitItemCounts([&](ItemId item, double total) {
-    legacy_totals[PackItem(item)] = total;
-  });
-  ASSERT_EQ(flat_totals.size(), legacy_totals.size());
-  flat_totals.ForEach([&](uint64_t key, double total) {
-    const double* other = legacy_totals.Find(key);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(total, *other);
-  });
 }
 
 }  // namespace

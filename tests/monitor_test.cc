@@ -49,7 +49,6 @@ MonitorSnapshot HandBuiltSnapshot() {
   snapshot.topology.push_back({"user_history", 100, 240, 1, 2000});
   snapshot.store.push_back({0, false, 50, 30, 12});
   snapshot.store.push_back({1, true, 7, 3, 0});
-  snapshot.pipeline.push_back({"user-history", 2, 100, 10, 1500});
   snapshot.counters.push_back({"tdaccess.t.g.consumed", 100});
   snapshot.gauges.push_back({"tdaccess.t.g.lag", 5});
 
@@ -66,7 +65,6 @@ MonitorSnapshot HandBuiltSnapshot() {
 TEST(MonitorFormatTest, HumanReportSections) {
   const std::string report = FormatMonitorSnapshot(HandBuiltSnapshot());
   EXPECT_NE(report.find("== topology (last run) =="), std::string::npos);
-  EXPECT_NE(report.find("== parallel cf pipeline =="), std::string::npos);
   EXPECT_NE(report.find("== tdstore =="), std::string::npos);
   EXPECT_NE(report.find("== tdaccess =="), std::string::npos);
   EXPECT_NE(report.find("== latency (us) =="), std::string::npos);
@@ -271,7 +269,6 @@ TEST(MonitorEngineTest, SeededRunExportsLatencies) {
   options.store.num_data_servers = 2;
   options.store.num_instances = 8;
   options.materialize_results = true;
-  options.mirror_parallel_cf = true;
   auto engine = TencentRec::Create(options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -295,19 +292,15 @@ TEST(MonitorEngineTest, SeededRunExportsLatencies) {
   const auto* reads = snapshot->FindLatency("tdstore.client.read_us");
   ASSERT_NE(reads, nullptr);
   EXPECT_GT(reads->hist.count, 0u);
-  const auto* pipeline_service = snapshot->FindLatency(
-      "parallel_cf.monapp.user-history.service_us");
-  ASSERT_NE(pipeline_service, nullptr);
 
-  // The mirror only sees ProcessBatch traffic; run one batch through it so
-  // its stage histograms populate too.
+  // A direct ProcessBatch runs the same topology, so its store writes land
+  // in the same per-component histograms on top of the first run's.
   ASSERT_TRUE((*engine)->ProcessBatch(SeededTraffic()).ok());
   auto snapshot2 = CollectMonitorSnapshot(engine->get());
   ASSERT_TRUE(snapshot2.ok());
-  const auto* service2 = snapshot2->FindLatency(
-      "parallel_cf.monapp.user-history.service_us");
-  ASSERT_NE(service2, nullptr);
-  EXPECT_GT(service2->hist.count, 0u);
+  const auto* uh2 = snapshot2->ComponentLatency("user_history");
+  ASSERT_NE(uh2, nullptr);
+  EXPECT_GT(uh2->count, uh->count);
 
   // Exports of the live snapshot are well-formed.
   ValidatePrometheusText(ExportPrometheusText(*snapshot2));

@@ -590,20 +590,57 @@ TEST(EngineOpsTest, ExemplarTraceIdsResolveAgainstTraces) {
   Tracer::Default().Clear();
 }
 
-/// The watchdog also covers the ParallelItemCf mirror stages.
-TEST(EngineOpsTest, WatchdogCoversMirrorStages) {
+/// The watchdog covers every topology component while a run is live:
+/// RunTopology registers one "topo.<component>" source per component and
+/// unregisters them all before the cluster is torn down.
+TEST(EngineOpsTest, WatchdogCoversTopologyComponents) {
   auto options = OpsEngineOptions();
-  options.mirror_parallel_cf = true;
   options.enable_watchdog = true;
+  options.watchdog_period_ms = 1;  // background sweeps during the run too
   auto engine = engine::TencentRec::Create(options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE((*engine)->ProcessBatch(MakeActions(64)).ok());
-  // Stages drained after ProcessBatch: progress advanced, no backlog, so
-  // sweeps must keep them healthy.
-  (*engine)->watchdog()->CheckNow();
-  (*engine)->watchdog()->CheckNow();
+  StallWatchdog* dog = (*engine)->watchdog();
+  ASSERT_NE(dog, nullptr);
+  EXPECT_TRUE(dog->SourceNames().empty());
+
+  // Observe the registrations from a second thread while a batch streams,
+  // sweeping once by hand as soon as they appear. A run can finish before
+  // the observer is scheduled, so retry until one is caught in flight.
+  const auto actions = MakeActions(4096);
+  std::vector<std::string> seen;
+  for (int attempt = 0; attempt < 5 && seen.empty(); ++attempt) {
+    std::atomic<bool> done{false};
+    std::thread observer([&] {
+      bool swept = false;
+      while (!done.load()) {
+        for (auto& name : dog->SourceNames()) {
+          if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+            seen.push_back(std::move(name));
+          }
+        }
+        if (!seen.empty() && !swept) {
+          dog->CheckNow();
+          swept = true;
+        }
+        std::this_thread::yield();
+      }
+    });
+    const Status run = (*engine)->ProcessBatch(actions);
+    done = true;
+    observer.join();
+    ASSERT_TRUE(run.ok()) << run.ToString();
+  }
+  for (const char* component :
+       {"topo.spout", "topo.pretreatment", "topo.user_history",
+        "topo.item_count", "topo.cf_pair", "topo.similar_list"}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), component), seen.end())
+        << component;
+  }
+  // Every source left with its cluster; a drained run leaves nothing
+  // flagged.
+  EXPECT_TRUE(dog->SourceNames().empty());
+  EXPECT_TRUE(dog->StalledComponents().empty());
   EXPECT_TRUE((*engine)->health().Healthy());
-  EXPECT_TRUE((*engine)->watchdog()->StalledComponents().empty());
 }
 
 }  // namespace

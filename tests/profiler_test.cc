@@ -1,6 +1,7 @@
 // Tests for the continuous profiling plane (DESIGN.md §13): the stage
 // registry, folded-stack export, dladdr symbolization, per-stage sample
-// attribution on a seeded ParallelItemCf run, start/stop/start signal
+// attribution on stage-registered threads running the serial item-CF
+// model, start/stop/start signal
 // safety (this file is part of the TSan `concurrent` workload), and
 // ProfiledMutex wait accounting.
 
@@ -16,7 +17,7 @@
 
 #include "common/profiled_mutex.h"
 #include "common/stage.h"
-#include "core/itemcf/parallel_cf.h"
+#include "core/itemcf/item_cf.h"
 #include "obs/profiler.h"
 
 namespace tencentrec {
@@ -43,23 +44,54 @@ core::UserAction MakeAction(core::UserId user, core::ItemId item,
   return a;
 }
 
-// Burns CPU through the seeded ParallelItemCf pipeline until the profiler
-// has accumulated `min_samples` beyond `baseline` (or a generous timeout).
-void DriveUntilSampled(core::ParallelItemCf* cf, uint64_t baseline,
-                       uint64_t min_samples) {
-  EventTime ts = 0;
+// Burns CPU on `threads` workers registered under `stage`, each streaming a
+// seeded click stream through its own serial PracticalItemCf, until Stop()
+// (or destruction). The state stays bounded: 17 users x 23 items in one
+// session.
+class CfLoad {
+ public:
+  CfLoad(const std::string& stage, int threads) {
+    for (int t = 0; t < threads; ++t) {
+      workers_.emplace_back([this, stage, t] {
+        RegisterStageThread(stage);
+        core::PracticalItemCf cf(core::PracticalItemCf::Options{});
+        EventTime ts = 0;
+        while (!stop_.load(std::memory_order_relaxed)) {
+          for (int u = 0; u < 64; ++u) {
+            for (int i = 0; i < 8; ++i) {
+              cf.ProcessAction(MakeAction(
+                  static_cast<core::UserId>(u % 17),
+                  static_cast<core::ItemId>(1 + (u + i + t) % 23), ++ts));
+            }
+          }
+        }
+      });
+    }
+  }
+  CfLoad(const CfLoad&) = delete;
+  CfLoad& operator=(const CfLoad&) = delete;
+  ~CfLoad() { Stop(); }
+
+  void Stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (auto& w : workers_) {
+      if (w.joinable()) w.join();
+    }
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;
+};
+
+// Waits until the profiler has accumulated `min_samples` beyond `baseline`
+// (or a generous timeout) while a CfLoad burns CPU.
+void WaitForSamples(uint64_t baseline, uint64_t min_samples) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (Profiler::Instance().total_samples() - baseline < min_samples &&
          std::chrono::steady_clock::now() < deadline) {
-    for (int u = 0; u < 64; ++u) {
-      for (int i = 0; i < 8; ++i) {
-        cf->ProcessAction(
-            MakeAction(static_cast<core::UserId>(u % 17),
-                       static_cast<core::ItemId>(1 + (u + i) % 23), ++ts));
-      }
-    }
-    cf->Drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 }
 
@@ -143,11 +175,7 @@ TEST(ProfilerTest, SymbolizesKnownLocalFrame) {
 
 TEST(ProfilerTest, AttributesSamplesToRegisteredStages) {
   RegisterStageThread("profiler-test.driver");
-  core::ParallelItemCf::Options opts;
-  opts.user_shards = 2;
-  opts.pair_shards = 2;
-  opts.metrics_scope = "proftest";
-  core::ParallelItemCf cf(opts);
+  CfLoad load("proftest.cf", 2);
 
   Profiler& prof = Profiler::Instance();
   Profiler::Options popts;
@@ -157,60 +185,36 @@ TEST(ProfilerTest, AttributesSamplesToRegisteredStages) {
 
   const uint64_t base_total = prof.total_samples();
   const uint64_t base_unattributed = prof.stage_samples(0);
-  DriveUntilSampled(&cf, base_total, 200);
+  WaitForSamples(base_total, 200);
   prof.Stop();
+  load.Stop();
 
   const uint64_t total = prof.total_samples() - base_total;
   const uint64_t unattributed = prof.stage_samples(0) - base_unattributed;
   ASSERT_GE(total, 200u) << "profiler produced too few samples";
-  // ISSUE 8 acceptance: >=90% of samples attributed to registered stages.
+  // The plane's bar: >=90% of samples attributed to registered stages.
   // Timers only ever attach to registered threads, so in practice this is
   // ~100%; the bound guards the attribution plumbing end to end.
   EXPECT_LE(unattributed * 10, total)
       << "unattributed " << unattributed << " of " << total;
 
-  // The pipeline stages must show up by their registered names.
-  const uint16_t user_stage = InternStage("proftest.user-history");
-  const uint16_t pair_stage = InternStage("proftest.count+sim");
-  EXPECT_GT(prof.stage_samples(user_stage) + prof.stage_samples(pair_stage),
-            0u);
-
-  cf.Shutdown();
+  // The workers' stage must show up by its registered name.
+  EXPECT_GT(prof.stage_samples(InternStage("proftest.cf")), 0u);
 }
 
 TEST(ProfilerTest, CollectWindowProducesFoldedStacks) {
   RegisterStageThread("profiler-test.driver");
-  core::ParallelItemCf::Options opts;
-  opts.user_shards = 2;
-  opts.pair_shards = 2;
-  opts.metrics_scope = "profwin";
-  core::ParallelItemCf cf(opts);
 
   Profiler& prof = Profiler::Instance();
   Profiler::Options popts;
   popts.hz = 997;
   ASSERT_TRUE(prof.Start(popts));
 
-  // Keep the pipeline busy in the background while a window is collected.
-  std::atomic<bool> stop{false};
-  std::thread load([&] {
-    RegisterStageThread("profiler-test.load");
-    EventTime ts = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      for (int u = 0; u < 64; ++u) {
-        cf.ProcessAction(MakeAction(static_cast<core::UserId>(u % 13),
-                                    static_cast<core::ItemId>(1 + u % 31),
-                                    ++ts));
-      }
-      cf.Drain();
-    }
-  });
-
+  // Keep CF workers busy in the background while a window is collected.
+  CfLoad load("profwin.cf", 2);
   const Profiler::Aggregate agg = prof.CollectWindow(1.0);
-  stop.store(true, std::memory_order_relaxed);
-  load.join();
+  load.Stop();
   prof.Stop();
-  cf.Shutdown();
 
   ASSERT_GT(agg.total, 0u);
   ASSERT_FALSE(agg.stacks.empty());
@@ -241,11 +245,10 @@ TEST(ProfilerTest, StartStopStartIsSignalSafe) {
   // flag, new timers re-armed on live threads. Runs under the `concurrent`
   // label, so the TSan build checks the handler/collector rings too.
   RegisterStageThread("profiler-test.driver");
-  core::ParallelItemCf::Options opts;
-  opts.user_shards = 2;
-  opts.pair_shards = 2;
-  opts.metrics_scope = "profcycle";
-  core::ParallelItemCf cf(opts);
+  // The workers outlive every cycle: each Start re-arms timers on live
+  // threads, and the load keeps running between Stop and the next Start,
+  // so late signals land on busy threads and must be inert.
+  CfLoad load("profcycle.cf", 2);
 
   Profiler& prof = Profiler::Instance();
   Profiler::Options popts;
@@ -255,18 +258,12 @@ TEST(ProfilerTest, StartStopStartIsSignalSafe) {
     EXPECT_TRUE(prof.running());
     EXPECT_FALSE(prof.Start(popts));  // double-start refused
     const uint64_t base = prof.total_samples();
-    DriveUntilSampled(&cf, base, 20);
+    WaitForSamples(base, 20);
     prof.Stop();
     EXPECT_FALSE(prof.running());
-    // A few more actions after stop: late signals must be inert.
-    EventTime ts = 1000000 + cycle;
-    for (int u = 0; u < 32; ++u) {
-      cf.ProcessAction(MakeAction(static_cast<core::UserId>(u),
-                                  static_cast<core::ItemId>(1 + u), ++ts));
-    }
-    cf.Drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  cf.Shutdown();
+  load.Stop();
 
   // Kill switch: disabled profiler refuses to start.
   prof.SetEnabled(false);

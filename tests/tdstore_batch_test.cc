@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "tdstore/batch_writer.h"
 #include "tdstore/client.h"
 #include "tdstore/cluster.h"
@@ -387,6 +388,42 @@ TEST(BatchWriterTest, KindConflictOnKeyFlushesFirst) {
   EXPECT_EQ(writer.pending(), 1u);
   ASSERT_TRUE(writer.Flush().ok());
   EXPECT_DOUBLE_EQ(client.GetDouble("k").value(), 3.0);
+}
+
+TEST(BatchWriterTest, FlushRestoresTraceContext) {
+  // A flush spans each sampled op under its staged trace id; afterwards
+  // the thread must be back in the context it flushed from, or every later
+  // store op on it would be attributed to a stale trace.
+  auto cluster = Cluster::Create(SmallCluster());
+  ASSERT_TRUE(cluster.ok());
+  Client client(cluster->get());
+  BatchWriter writer(&client, {});
+  SetTraceSampleEvery(1);
+  {
+    TraceContextScope first(11);
+    writer.IncrDouble("a", 1.0);
+    writer.PutDouble("p", 1.0);
+  }
+  {
+    TraceContextScope second(22);
+    writer.IncrDouble("b", 1.0);
+    writer.PutDouble("q", 2.0);
+  }
+  ASSERT_EQ(CurrentTraceId(), 0u);
+  ASSERT_TRUE(writer.Flush().ok());
+  EXPECT_EQ(CurrentTraceId(), 0u);
+  {
+    TraceContextScope outer(33);
+    writer.IncrDouble("c", 1.0);
+    {
+      TraceContextScope inner(44);
+      writer.IncrDouble("d", 1.0);
+    }
+    ASSERT_TRUE(writer.Flush().ok());
+    EXPECT_EQ(CurrentTraceId(), 33u);
+  }
+  SetTraceSampleEvery(0);
+  Tracer::Default().Clear();
 }
 
 TEST(BatchWriterTest, AutoFlushBySizeAndAge) {

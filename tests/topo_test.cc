@@ -404,17 +404,20 @@ std::vector<UserAction> RandomActions(uint64_t seed, int n) {
   return actions;
 }
 
-class PipelineOracleTest : public ::testing::TestWithParam<uint64_t> {};
+/// Streams RandomActions(seed, 600) through a fresh engine and checks its
+/// store counts and similarities against the serial reference model run
+/// with the same `linked_time`.
+void ExpectPipelineMatchesReference(uint64_t seed, EventTime linked_time) {
+  const auto actions = RandomActions(seed, 600);
 
-TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
-  const auto actions = RandomActions(GetParam(), 600);
-
-  auto engine = engine::TencentRec::Create(EngineOptions("oracle"));
+  auto options = EngineOptions("oracle");
+  options.app.linked_time = linked_time;
+  auto engine = engine::TencentRec::Create(options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_TRUE((*engine)->ProcessBatch(actions).ok());
 
   core::PracticalItemCf::Options ref_options;
-  ref_options.linked_time = Days(30);
+  ref_options.linked_time = linked_time;
   ref_options.window_sessions = 0;
   core::PracticalItemCf reference(ref_options);
   for (const auto& action : actions) reference.ProcessAction(action);
@@ -446,6 +449,21 @@ TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
       EXPECT_NEAR(*sim, reference.Similarity(a, b), 1e-9);
     }
   }
+}
+
+class PipelineOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
+  ExpectPipelineMatchesReference(GetParam(), Days(30));
+}
+
+// A linked_time (60 s) far shorter than the stream (600 s) makes pair
+// counts depend on the order of each user's actions: a co-rating counts
+// only if the two actions fall within linked_time of each other. The
+// topology must deliver one user's actions to UserHistoryBolt in stream
+// order for the store to match the serial model.
+TEST_P(PipelineOracleTest, ShortLinkedTimeKeepsPerUserOrder) {
+  ExpectPipelineMatchesReference(GetParam(), Seconds(60));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineOracleTest,
