@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace tencentrec::bench {
@@ -62,7 +63,9 @@ inline BenchSummary Summarize(const std::vector<double>& rep_ms,
 
 /// Writes `BENCH_<name>.json` into $TR_BENCH_OUT (default: the working
 /// directory) so `scripts/run_bench.sh` can collect machine-readable
-/// results next to the human-readable stdout. `extra_json`, when nonempty,
+/// results next to the human-readable stdout. Every file records `cores`
+/// (hardware threads of the host), which `scripts/check_bench.py` needs to
+/// compare throughput only between like hosts. `extra_json`, when nonempty,
 /// is spliced verbatim as additional top-level fields (caller supplies
 /// valid `"key": value` pairs, comma-separated, no trailing comma).
 inline bool WriteBenchJson(const std::string& name, const BenchSummary& s,
@@ -80,11 +83,13 @@ inline bool WriteBenchJson(const std::string& name, const BenchSummary& s,
                "{\n"
                "  \"name\": \"%s\",\n"
                "  \"ops_per_sec\": %.1f,\n"
+               "  \"cores\": %u,\n"
                "  \"p50_ms\": %.3f,\n"
                "  \"p95_ms\": %.3f,\n"
                "  \"p99_ms\": %.3f%s%s\n"
                "}\n",
-               name.c_str(), s.ops_per_sec, s.p50_ms, s.p95_ms, s.p99_ms,
+               name.c_str(), s.ops_per_sec, std::thread::hardware_concurrency(),
+               s.p50_ms, s.p95_ms, s.p99_ms,
                extra_json.empty() ? "" : ",\n  ", extra_json.c_str());
   std::fclose(f);
   std::printf("bench json -> %s\n", path.c_str());

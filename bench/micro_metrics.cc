@@ -336,13 +336,12 @@ int main() {
   // ops_per_sec: the traced (1-in-64) engine run, best rep.
   char extra[320];
   std::snprintf(extra, sizeof(extra),
-                "\"actions\": %d, \"reps\": %d, \"cores\": %u,\n  "
+                "\"actions\": %d, \"reps\": %d,\n  "
                 "\"trace_overhead_pct\": %.2f, \"sample_every\": 64, "
                 "\"baseline_ms\": %.3f,\n  "
                 "\"obs_overhead_pct\": %.4f, \"obs_series\": %zu, "
                 "\"profiler_overhead_pct\": %.4f",
-                kActions, kReps, std::thread::hardware_concurrency(),
-                trace.overhead_pct, trace.off_ms, planes.obs_overhead_pct,
+                kActions, kReps, trace.overhead_pct, trace.off_ms, planes.obs_overhead_pct,
                 planes.series, planes.profiler_overhead_pct);
   bench::WriteBenchJson("micro_metrics", trace.traced, extra);
   return 0;

@@ -32,7 +32,6 @@
 #include <filesystem>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -285,13 +284,12 @@ int main() {
   char extra[512];
   std::snprintf(
       extra, sizeof(extra),
-      "\"records\": %lld, \"cores\": %u,\n  "
+      "\"records\": %lld,\n  "
       "\"wal_append_ops_per_sec\": %.1f, "
       "\"snapshot_restore_ops_per_sec\": %.1f,\n  "
       "\"wal_appends_per_action\": %.3f, \"wal_bytes_per_action\": %.1f,\n  "
       "\"wal_overhead_pct\": %.4f",
-      static_cast<long long>(kRecords), std::thread::hardware_concurrency(),
-      append_ops_per_sec, restore_ops_per_sec, appends_per_action,
+      static_cast<long long>(kRecords), append_ops_per_sec, restore_ops_per_sec, appends_per_action,
       bytes_per_action, wal_overhead_pct);
   const bool wrote = bench::WriteBenchJson("micro_recover", summary, extra);
 

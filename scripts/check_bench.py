@@ -5,6 +5,12 @@ Compares each BENCH_<name>.json in the results directory against the
 baseline committed at HEAD (``git show HEAD:bench/BENCH_<name>.json``) and
 fails when throughput regressed by more than the threshold.
 
+Throughput is only compared like with like: ``ops_per_sec`` is gated when
+the fresh run and the baseline record the same ``cores`` (hardware threads,
+written by bench_util's WriteBenchJson). Otherwise the pair is reported as
+not comparable, naming the baseline file to re-commit from a run on this
+host; a baseline from a different host is not a regression.
+
 Fresh results are also checked against the observability overhead budget:
 every ``*_overhead_pct`` field (the paired plain-vs-instrumented ratios the
 micro benches emit, e.g. ``obs_overhead_pct``, ``profiler_overhead_pct``,
@@ -112,6 +118,13 @@ def main():
             print(f"  {name:<18} no committed baseline at {args.ref} — skip")
             continue
         base, cur = baseline[METRIC], fresh.get(METRIC, 0.0)
+        base_cores, cur_cores = baseline.get("cores"), fresh.get("cores")
+        if base_cores is None or cur_cores is None or base_cores != cur_cores:
+            print(f"  {name:<18} {METRIC}: {base:>12.1f} -> {cur:>12.1f}  "
+                  f"not comparable (baseline {base_cores or '?'} cores, "
+                  f"fresh {cur_cores or '?'}) — re-commit "
+                  f"bench/BENCH_{name}.json from this run to gate it")
+            continue
         if base <= 0:
             print(f"  {name:<18} baseline {METRIC} <= 0 — skip")
             continue

@@ -54,15 +54,13 @@ Status TencentRec::Init() {
 
   app_ = std::make_unique<topo::AppContext>(store_.get(), options_.app);
   admin_client_ = std::make_unique<tdstore::Client>(store_.get());
-  if (options_.app.enable_query_batching) {
-    // One shared cache for every StoreQuery (the engine's own and any
-    // per-thread ones callers build from query_cache()): sharing is what
-    // turns N concurrent identical reads into one store round-trip.
-    topo::QueryCache::Options qopts;
-    qopts.capacity = options_.app.query_cache_capacity;
-    qopts.ttl_micros = options_.app.query_cache_ttl_micros;
-    query_cache_ = std::make_shared<topo::QueryCache>(std::move(qopts));
-  }
+  // One shared cache for every StoreQuery (the engine's own and any
+  // per-thread ones callers build from query_cache()): sharing is what turns
+  // N concurrent identical reads into one store round-trip.
+  topo::QueryCache::Options qopts;
+  qopts.capacity = options_.app.query_cache_capacity;
+  qopts.ttl_micros = options_.app.query_cache_ttl_micros;
+  query_cache_ = std::make_shared<topo::QueryCache>(std::move(qopts));
   query_ = std::make_unique<topo::StoreQuery>(app_.get(), query_cache_);
 
   if (options_.trace_sample_every > 0) {
@@ -368,16 +366,14 @@ Status TencentRec::RegisterItem(core::ItemId item,
       items.push_back(item);
       TR_RETURN_IF_ERROR(admin_client_->Put(key, topo::EncodeItemList(items)));
     }
-    if (query_cache_ != nullptr) query_cache_->Invalidate(key);
+    query_cache_->Invalidate(key);
   }
   // This admin write bypasses the query tier, so evict exactly the keys it
   // rewrote — a cached NotFound for a just-registered item must not outlive
   // the registration.
-  if (query_cache_ != nullptr) {
-    query_cache_->Invalidate(app_->keys.ItemTags(item));
-    query_cache_->Invalidate("im:" + options_.app.app + ":" +
-                             std::to_string(item));
-  }
+  query_cache_->Invalidate(app_->keys.ItemTags(item));
+  query_cache_->Invalidate("im:" + options_.app.app + ":" +
+                           std::to_string(item));
   return Status::OK();
 }
 
@@ -473,7 +469,7 @@ Status TencentRec::ProcessBatch(
   // may have cached, so drop every entry. The TTL alone would converge too,
   // but tests (and operators) expect a finished batch to be visible on the
   // very next query.
-  if (query_cache_ != nullptr) query_cache_->Clear();
+  query_cache_->Clear();
   return run;
 }
 
@@ -520,7 +516,7 @@ Status TencentRec::ProcessFromAccess() {
       },
       {}, options_.spout_parallelism);
   if (run.ok()) TR_RETURN_IF_ERROR(CommitStoreBarrier());
-  if (query_cache_ != nullptr) query_cache_->Clear();  // batch boundary
+  query_cache_->Clear();  // batch boundary
   return run;
 }
 

@@ -138,9 +138,9 @@ class TencentRec {
   /// --- queries (recommender engine) ---
   topo::StoreQuery& query() { return *query_; }
 
-  /// The shared batched-query-tier cache (nullptr when query batching is
-  /// off). Hand this to extra per-thread StoreQuery instances so concurrent
-  /// querents coalesce identical in-flight reads into one store round-trip.
+  /// The shared query-tier cache (never null). Hand this to extra
+  /// per-thread StoreQuery instances so concurrent querents coalesce
+  /// identical in-flight reads into one store round-trip.
   std::shared_ptr<topo::QueryCache> query_cache() { return query_cache_; }
 
   /// --- introspection / fault injection ---

@@ -41,9 +41,11 @@ struct AppOptions {
   int window_sessions = 0;  ///< 0 = cumulative counts
   bool enable_pruning = false;
   double hoeffding_delta = 0.05;
-  /// In-process CF state kernel (see PracticalItemCf::Options): flat
-  /// open-addressing tables (default) vs legacy std::unordered_map.
-  bool use_flat_kernels = true;
+  /// The store-backed topology keeps its CF state in TDStore and has no
+  /// in-process kernel to select, so this is a constant, not a knob; it
+  /// stays readable for code that copies it into a serial
+  /// PracticalItemCf::Options reference.
+  static constexpr bool use_flat_kernels = true;
 
   // --- DB ---
   int hot_list_size = 50;
@@ -64,11 +66,10 @@ struct AppOptions {
   int combiner_interval = 64;
 
   // --- host-aware batched store I/O ---
-  /// Route combiner flushes (and other write-behind paths) through a
+  /// Combiner flushes (and other write-behind paths) always go through a
   /// BatchWriter: grouped per-host Multi* calls instead of one store op per
-  /// key. Point semantics are preserved bit-for-bit; this only changes how
-  /// many server invocations carry the same ops.
-  bool enable_store_batching = true;
+  /// key. A constant kept readable for reports that print it.
+  static constexpr bool enable_store_batching = true;
   /// BatchWriter auto-flush threshold (staged ops).
   size_t store_batch_max_ops = 256;
   /// BatchWriter max staging age before auto-flush; 0 = flush only on
@@ -76,13 +77,12 @@ struct AppOptions {
   int64_t store_batch_max_age_micros = 0;
 
   // --- batched query tier (read-side mirror of the write batching) ---
-  /// Route StoreQuery reads through the batched query tier: each query
+  /// StoreQuery reads always go through the batched query tier: each query
   /// plans its full key set, dedupes repeated keys, and issues grouped
   /// MultiGets through a QueryCache (short-TTL positive + negative entries,
-  /// single-flight coalescing of concurrent identical reads). Off = the
-  /// original one-point-Get-per-key path; results are bit-identical either
-  /// way on a healthy store.
-  bool enable_query_batching = true;
+  /// single-flight coalescing of concurrent identical reads). A constant
+  /// kept readable for reports that print it.
+  static constexpr bool enable_query_batching = true;
   /// QueryCache entry bound (key-value read results). 0 disables caching
   /// while keeping per-query dedupe and cross-thread coalescing.
   size_t query_cache_capacity = 1 << 14;

@@ -36,7 +36,7 @@ class StoreBolt : public tstorm::IBolt {
 
   const StoreCache::Stats& cache_stats() const { return cache_->stats(); }
 
-  /// Write-behind batch writer, or nullptr when store batching is off.
+  /// Write-behind batch writer (armed by Prepare).
   tdstore::BatchWriter* batch_writer() const { return writer_.get(); }
 
  protected:
@@ -45,8 +45,8 @@ class StoreBolt : public tstorm::IBolt {
 
   /// Ships `combiner`'s whole buffer through the batch writer: one grouped
   /// per-host store call per op kind instead of an AddDouble round trip per
-  /// key. Keys whose write fails are re-buffered into the combiner, keeping
-  /// the point path's at-least-once behavior. Requires batching enabled.
+  /// key. Keys whose write fails are re-buffered into the combiner, so a
+  /// failed flush is retried on the next tick (at-least-once).
   Status FlushCombinerBatched(Combiner* combiner);
 
   /// Sliding-window sum of a per-session double counter (Eq. 10 read side):

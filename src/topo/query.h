@@ -19,15 +19,13 @@ namespace tencentrec::topo {
 /// what the "Recommender Engine" box does — it never touches the stream
 /// pipeline, so queries scale independently of ingestion.
 ///
-/// With `AppOptions::enable_query_batching` (the default) every query plans
-/// its full key set up front — all session keys for all candidate
-/// items/pairs, similar-item lists, tag indexes, item tags — dedupes
-/// repeated keys, and issues grouped MultiGets through a QueryCache
+/// Every query plans its full key set up front — all session keys for all
+/// candidate items/pairs, similar-item lists, tag indexes, item tags —
+/// dedupes repeated keys, and issues grouped MultiGets through a QueryCache
 /// (short-TTL positive/negative entries + single-flight coalescing) instead
-/// of one point Get per key. Results are bit-identical to the unbatched
-/// path on a healthy store; under per-key transient store errors the
-/// batched path degrades per candidate (PR 4's per-key-status semantics)
-/// where the unbatched path fails the whole query.
+/// of one point Get per key. Under per-key transient store errors a
+/// recommendation degrades per candidate (`topo.query.degraded_candidates`)
+/// instead of failing the whole query.
 ///
 /// Not thread-safe; create one per serving thread (each owns a client).
 /// Concurrent serving threads SHOULD share one QueryCache (second
@@ -35,11 +33,10 @@ namespace tencentrec::topo {
 /// across threads into one store round-trip.
 class StoreQuery {
  public:
-  /// Batching per `app->options`; when enabled, owns a private QueryCache
-  /// sized from the options.
+  /// Owns a private QueryCache sized from `app->options`.
   explicit StoreQuery(const AppContext* app);
-  /// Same, but sharing `cache` with other StoreQuery instances (the engine
-  /// wires all serving threads to one cache). Ignored when batching is off.
+  /// Shares `cache` with other StoreQuery instances (the engine wires all
+  /// serving threads to one cache); nullptr builds a private one.
   StoreQuery(const AppContext* app, std::shared_ptr<QueryCache> cache);
 
   /// Item-based CF prediction (Eq. 2 over the user's recent-k items, §4.3)
@@ -91,7 +88,7 @@ class StoreQuery {
   Result<double> WindowPairCount(core::ItemId a, core::ItemId b,
                                  EventTime now);
 
-  /// The cache behind the batched tier (nullptr when batching is off).
+  /// The cache every read goes through (never null).
   QueryCache* cache() { return cache_.get(); }
 
  private:
@@ -100,34 +97,21 @@ class StoreQuery {
       EventTime now);
   Result<core::UserHistory> LoadHistory(core::UserId user);
 
-  /// Batched read of `keys`: through the QueryCache (dedupe + TTL cache +
-  /// coalescing) when present, else a locally-deduped grouped MultiGet.
-  /// `out` gets one Result per input key.
+  /// Grouped read of `keys` through the QueryCache (dedupe + TTL cache +
+  /// coalescing). `out` gets one Result per input key.
   Status FetchMany(const std::vector<std::string>& keys,
                    std::vector<Result<std::string>>* out);
   /// Single-key read through the same tier (still coalesces/caches).
   Result<std::string> FetchOne(const std::string& key);
-  /// One blob read: FetchOne when batching, point Get otherwise.
-  Result<std::string> ReadBlob(const std::string& key);
-
-  Result<core::Recommendations> RecommendCfBatched(core::UserId user,
-                                                   size_t n, EventTime now);
-  Result<core::Recommendations> RecommendCbBatched(core::UserId user,
-                                                   size_t n, EventTime now);
-  Result<core::Recommendations> RecommendArBatched(core::ItemId from,
-                                                   size_t n, EventTime now,
-                                                   double min_support,
-                                                   double min_confidence);
   /// Counts one candidate dropped for a transient per-key store error.
   void Degraded();
 
   const AppContext* app_;
   std::unique_ptr<tdstore::Client> client_;
-  bool batched_ = false;
   std::shared_ptr<QueryCache> cache_;
 
-  LatencyHistogram* fetch_keys_ = nullptr;  ///< keys per batched fetch
-  LatencyHistogram* fetch_us_ = nullptr;    ///< batched fetch latency
+  LatencyHistogram* fetch_keys_ = nullptr;  ///< keys per grouped fetch
+  LatencyHistogram* fetch_us_ = nullptr;    ///< grouped fetch latency
   Counter* degraded_ = nullptr;  ///< candidates dropped on per-key errors
 };
 

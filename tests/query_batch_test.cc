@@ -1,13 +1,14 @@
 // The batched query tier: QueryCache semantics (dedupe, TTL positive +
 // negative caching, single-flight coalescing, eviction, invalidation),
-// StoreCache negative caching with write-through invalidation, batched vs
-// unbatched StoreQuery parity on seeded streams, the deregistered-item N+1
-// regression on RecommendCb, and per-candidate degradation under per-key
-// store errors.
+// StoreCache negative caching with write-through invalidation, golden
+// digests of every StoreQuery output on seeded streams, the
+// deregistered-item read bound on RecommendCb, and per-candidate
+// degradation under per-key store errors.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -325,9 +326,9 @@ TEST(StoreCacheTest, AddDoubleBatchAfterCachedNotFoundStartsFromZero) {
   ASSERT_TRUE(cached.ok());
 }
 
-// --- satellite 1: the deregistered-item N+1 on RecommendCb ---
+// --- the deregistered-item read bound on RecommendCb ---
 
-TEST(StoreQueryTest, DeadItemInManyTagIndexesCostsOneReadUnbatched) {
+TEST(StoreQueryTest, DeadItemInManyTagIndexesCostsBoundedReads) {
   tdstore::Cluster::Options store_options;
   store_options.num_data_servers = 2;
   store_options.num_instances = 8;
@@ -335,10 +336,9 @@ TEST(StoreQueryTest, DeadItemInManyTagIndexesCostsOneReadUnbatched) {
   ASSERT_TRUE(store.ok());
   tdstore::Client seed(store->get());
 
-  AppOptions unbatched_options;
-  unbatched_options.app = "cb";
-  unbatched_options.enable_query_batching = false;
-  AppContext unbatched(store->get(), unbatched_options);
+  AppOptions options;
+  options.app = "cb";
+  AppContext app(store->get(), options);
 
   // User 7's profile spans K tags; every tag's inverted index holds only
   // item 99, whose it:99 tag vector was never written (deregistered).
@@ -349,42 +349,29 @@ TEST(StoreQueryTest, DeadItemInManyTagIndexesCostsOneReadUnbatched) {
   topo::ContentProfileBlob profile;
   for (int t = 1; t <= kTags; ++t) profile.weights.emplace_back(t, 1.0);
   profile.last_update = now;
-  ASSERT_TRUE(seed.Put(unbatched.keys.ContentProfile(kUser),
+  ASSERT_TRUE(seed.Put(app.keys.ContentProfile(kUser),
                        topo::EncodeContentProfile(profile))
                   .ok());
   for (int t = 1; t <= kTags; ++t) {
-    ASSERT_TRUE(seed.Put(unbatched.keys.TagIndex(t),
-                         topo::EncodeItemList({kDead}))
-                    .ok());
+    ASSERT_TRUE(
+        seed.Put(app.keys.TagIndex(t), topo::EncodeItemList({kDead})).ok());
   }
 
-  StoreQuery query(&unbatched);
+  // The query collapses to a handful of grouped reads regardless of how
+  // many indexes the dead item haunts.
+  StoreQuery query(&app);
   ResetInvocations(store->get());
   auto recs = query.RecommendCb(kUser, 10, now);
   ASSERT_TRUE(recs.ok());
   EXPECT_TRUE(recs->empty());
-  // 1 profile + 1 history (NotFound) + kTags tag indexes + exactly ONE
-  // it:99 probe. Before the miss memo this was 2 + kTags + kTags.
-  EXPECT_EQ(TotalInvocations(store->get()), kTags + 3);
-
-  // The batched tier collapses the whole query to a handful of grouped
-  // reads regardless of how many indexes the dead item haunts.
-  AppOptions batched_options = unbatched_options;
-  batched_options.enable_query_batching = true;
-  AppContext batched(store->get(), batched_options);
-  StoreQuery batched_query(&batched);
-  ResetInvocations(store->get());
-  auto batched_recs = batched_query.RecommendCb(kUser, 10, now);
-  ASSERT_TRUE(batched_recs.ok());
-  EXPECT_TRUE(batched_recs->empty());
   // Four grouped stages (profile, history, tag indexes, item tags); only
   // the tag-index stage can span both hosts. Independent of kTags.
   EXPECT_LE(TotalInvocations(store->get()), 5);
 }
 
-// --- satellite 2: per-candidate degradation under per-key store errors ---
+// --- per-candidate degradation under per-key store errors ---
 
-TEST(StoreQueryTest, BatchedRecommendCfDegradesPerCandidateOnKeyErrors) {
+TEST(StoreQueryTest, RecommendCfDegradesPerCandidateOnKeyErrors) {
   tdstore::Cluster::Options store_options;
   store_options.num_data_servers = 2;
   // Not a power of two: with 8 instances over 2 servers the host is the
@@ -400,7 +387,6 @@ TEST(StoreQueryTest, BatchedRecommendCfDegradesPerCandidateOnKeyErrors) {
   AppOptions options;
   options.app = "deg";
   options.window_sessions = 0;
-  options.enable_query_batching = false;
   AppContext app(cluster, options);
 
   // Find a layout where one server's outage hits only candidate p2's
@@ -450,44 +436,40 @@ TEST(StoreQueryTest, BatchedRecommendCfDegradesPerCandidateOnKeyErrors) {
                      2.0)
           .ok());
 
-  AppOptions batched_options = options;
-  batched_options.enable_query_batching = true;
-  AppContext batched(cluster, batched_options);
+  // Closed-form Eq. 5 / Eq. 2 over the seeded counts, in query.cc's
+  // expression order so equality is exact: both candidates have one
+  // neighbour q (rating 3) with sim = 2 / (sqrt(4) * sqrt(5)), so they tie
+  // and rank by id.
+  const double sim = 2.0 / (std::sqrt(4.0) * std::sqrt(5.0));
+  const double num = 0.0 + sim * 3.0;
+  const double den = 0.0 + sim;
+  const double expected = (num / den) * (1.0 + std::log1p(den));
 
-  // Healthy store: both paths agree and see both candidates.
-  StoreQuery unbatched_query(&app);
-  auto healthy = unbatched_query.RecommendCf(kUser, 10, now);
-  ASSERT_TRUE(healthy.ok());
-  ASSERT_EQ(healthy->size(), 2u);
+  // Healthy store: both candidates, scored in closed form.
   {
-    StoreQuery batched_query(&batched);
-    auto batched_healthy = batched_query.RecommendCf(kUser, 10, now);
-    ASSERT_TRUE(batched_healthy.ok());
-    ASSERT_EQ(batched_healthy->size(), 2u);
-    for (size_t i = 0; i < healthy->size(); ++i) {
-      EXPECT_EQ((*healthy)[i].item, (*batched_healthy)[i].item);
-      EXPECT_EQ((*healthy)[i].score, (*batched_healthy)[i].score);
-    }
+    StoreQuery healthy_query(&app);
+    auto healthy = healthy_query.RecommendCf(kUser, 10, now);
+    ASSERT_TRUE(healthy.ok());
+    ASSERT_EQ(healthy->size(), 2u);
+    EXPECT_EQ((*healthy)[0].item, p1);
+    EXPECT_EQ((*healthy)[0].score, expected);
+    EXPECT_EQ((*healthy)[1].item, p2);
+    EXPECT_EQ((*healthy)[1].score, expected);
   }
 
-  // Down server: the unbatched path aborts the whole recommendation on p2's
-  // count read; the batched path drops only p2.
+  // Down server: p2's count read fails, so only p2 is dropped and p1 keeps
+  // its healthy score.
   cluster->data_server(target)->SetDown(true);
-  auto aborted = unbatched_query.RecommendCf(kUser, 10, now);
-  EXPECT_FALSE(aborted.ok());
-
-  StoreQuery degraded_query(&batched);  // fresh cache: no healthy leftovers
+  StoreQuery degraded_query(&app);  // fresh cache: no healthy leftovers
   auto degraded = degraded_query.RecommendCf(kUser, 10, now);
   ASSERT_TRUE(degraded.ok());
   ASSERT_EQ(degraded->size(), 1u);
   EXPECT_EQ((*degraded)[0].item, p1);
-  EXPECT_EQ((*degraded)[0].score, (*healthy)[0].item == p1
-                                      ? (*healthy)[0].score
-                                      : (*healthy)[1].score);
+  EXPECT_EQ((*degraded)[0].score, expected);
   cluster->data_server(target)->SetDown(false);
 }
 
-// --- parity: batched and unbatched engines agree bit-for-bit ---
+// --- golden digests: every query output on seeded streams ---
 
 std::vector<UserAction> SeededStream(uint64_t seed, int n) {
   Rng rng(seed);
@@ -512,8 +494,7 @@ std::vector<UserAction> SeededStream(uint64_t seed, int n) {
   return actions;
 }
 
-engine::TencentRec::Options ParityOptions(const std::string& app,
-                                          bool batching) {
+engine::TencentRec::Options ParityOptions(const std::string& app) {
   engine::TencentRec::Options options;
   options.app.app = app;
   options.app.parallelism = 2;
@@ -523,93 +504,119 @@ engine::TencentRec::Options ParityOptions(const std::string& app,
   options.app.session_length = Seconds(300);
   options.app.window_sessions = 4;
   options.app.combiner_interval = 16;
-  options.app.enable_query_batching = batching;
   options.store.num_data_servers = 2;
   options.store.num_instances = 8;
   return options;
 }
 
-void ExpectSameRecommendations(const core::Recommendations& a,
-                               const core::Recommendations& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].item, b[i].item);
-    EXPECT_EQ(a[i].score, b[i].score);  // bit-identical, not just close
+/// Byte transcript of every query output the parity sweep produces: a
+/// status byte, then per list its length, each item id and the raw bits of
+/// its score; scalar outputs as raw double bits. Its Fnv1a64 is the golden
+/// digest, so any change in an item, its rank or a single score bit shows.
+class QueryTranscript {
+ public:
+  template <typename T>
+  void Raw(const T& v) {
+    bytes_.append(reinterpret_cast<const char*>(&v), sizeof(v));
   }
-}
 
-TEST(QueryParityTest, BatchedAndUnbatchedQueriesAreBitIdentical) {
-  const auto actions = SeededStream(0x5eed, 600);
-  const EventTime now = actions.back().timestamp + Seconds(5);
-
-  // One engine, one store: the batched engine query and a hand-built
-  // unbatched StoreQuery read the SAME state, so any difference is the
-  // read path's fault, not topology-scheduling noise.
-  auto batched = engine::TencentRec::Create(ParityOptions("qp", true));
-  ASSERT_TRUE(batched.ok());
-  for (ItemId item = 1; item <= 15; ++item) {
-    core::TagVector tags = {
-        {static_cast<core::TagId>(1 + item % 4), 1.0},
-        {static_cast<core::TagId>(1 + (item * 7) % 4), 0.5}};
-    ASSERT_TRUE((*batched)->RegisterItem(item, tags, Seconds(0)).ok());
+  void Recs(const Result<core::Recommendations>& r) {
+    if (!Ok(r.status())) return;
+    Raw(static_cast<uint64_t>(r->size()));
+    for (const auto& s : *r) {
+      Raw(s.item);
+      Raw(s.score);
+    }
   }
-  ASSERT_TRUE((*batched)->ProcessBatch(actions).ok());
 
-  AppContext unbatched_ctx((*batched)->store(),
-                           ParityOptions("qp", false).app);
-  StoreQuery uq(&unbatched_ctx);
-  auto& bq = (*batched)->query();
+  void Scalar(const Result<double>& r) {
+    if (Ok(r.status())) Raw(*r);
+  }
+
+  void Pair(const Result<std::pair<double, double>>& r) {
+    if (!Ok(r.status())) return;
+    Raw(r->first);
+    Raw(r->second);
+  }
+
+  uint64_t digest() const { return HashString(bytes_); }
+
+ private:
+  bool Ok(const Status& s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    Raw(static_cast<uint8_t>(s.ok() ? 1 : 0));
+    return s.ok();
+  }
+
+  std::string bytes_;
+};
+
+/// Every StoreQuery entry point over the parity stream's 20 users and 15
+/// items, in a fixed order.
+uint64_t QuerySweepDigest(StoreQuery& q, EventTime now) {
+  QueryTranscript t;
   for (UserId user = 1; user <= 20; ++user) {
-    auto b_cf = bq.RecommendCf(user, 10, now);
-    auto u_cf = uq.RecommendCf(user, 10, now);
-    ASSERT_TRUE(b_cf.ok());
-    ASSERT_TRUE(u_cf.ok());
-    ExpectSameRecommendations(*b_cf, *u_cf);
-
-    auto b_cb = bq.RecommendCb(user, 10, now);
-    auto u_cb = uq.RecommendCb(user, 10, now);
-    ASSERT_TRUE(b_cb.ok());
-    ASSERT_TRUE(u_cb.ok());
-    ExpectSameRecommendations(*b_cb, *u_cb);
-
+    t.Recs(q.RecommendCf(user, 10, now));
+    t.Recs(q.RecommendCb(user, 10, now));
     Demographics d;
     d.gender = (user % 2 == 0) ? Demographics::kMale : Demographics::kFemale;
     d.age_band = static_cast<uint8_t>(1 + user % 4);
-    auto b_full = bq.Recommend(user, d, 10, now);
-    auto u_full = uq.Recommend(user, d, 10, now);
-    ASSERT_TRUE(b_full.ok());
-    ASSERT_TRUE(u_full.ok());
-    ExpectSameRecommendations(*b_full, *u_full);
+    t.Recs(q.Recommend(user, d, 10, now));
+    t.Recs(q.MaterializedResults(user));
   }
   for (ItemId item = 1; item <= 15; ++item) {
-    auto b_ar = bq.RecommendAr(item, 10, now);
-    auto u_ar = uq.RecommendAr(item, 10, now);
-    ASSERT_TRUE(b_ar.ok());
-    ASSERT_TRUE(u_ar.ok());
-    ExpectSameRecommendations(*b_ar, *u_ar);
-
+    t.Recs(q.RecommendAr(item, 10, now));
     Demographics d;
     d.gender = Demographics::kMale;
-    auto b_ctr = bq.PredictCtr(item, d, now);
-    auto u_ctr = uq.PredictCtr(item, d, now);
-    ASSERT_TRUE(b_ctr.ok());
-    ASSERT_TRUE(u_ctr.ok());
-    EXPECT_EQ(*b_ctr, *u_ctr);
-
+    d.age_band = static_cast<uint8_t>(1 + item % 4);
+    t.Scalar(q.PredictCtr(item, d, now));
+    t.Pair(q.SituationCounts(item, d, now));
+    t.Scalar(q.WindowItemCount(item, now));
     for (ItemId other = item + 1; other <= 15; ++other) {
-      auto b_sim = bq.SimilarityFromCounts(item, other, now);
-      auto u_sim = uq.SimilarityFromCounts(item, other, now);
-      ASSERT_TRUE(b_sim.ok());
-      ASSERT_TRUE(u_sim.ok());
-      EXPECT_EQ(*b_sim, *u_sim);
+      t.Scalar(q.SimilarityFromCounts(item, other, now));
+      t.Scalar(q.WindowPairCount(item, other, now));
     }
+  }
+  return t.digest();
+}
+
+/// Digests of QuerySweepDigest over each seed's 600-action stream. Captured
+/// from the point-Get query path that preceded the single batched read
+/// path, and checked equal to the batched outputs on the same store, so
+/// they pin today's outputs to that original reference bit for bit.
+struct GoldenDigest {
+  uint64_t seed;
+  uint64_t digest;
+};
+constexpr GoldenDigest kGoldenDigests[] = {
+    {0x5eed, 0x30825a3133d20a1cull},
+    {1, 0x8a3b569d960174c9ull},
+    {2, 0x27c8fcf11a667ed3ull},
+    {3, 0xfec0fed49b63b043ull},
+};
+
+TEST(QueryParityTest, QueryOutputsMatchGoldenDigests) {
+  for (const GoldenDigest& golden : kGoldenDigests) {
+    SCOPED_TRACE(testing::Message() << "seed " << golden.seed);
+    const auto actions = SeededStream(golden.seed, 600);
+    const EventTime now = actions.back().timestamp + Seconds(5);
+    auto engine = engine::TencentRec::Create(ParityOptions("qp"));
+    ASSERT_TRUE(engine.ok());
+    for (ItemId item = 1; item <= 15; ++item) {
+      core::TagVector tags = {
+          {static_cast<core::TagId>(1 + item % 4), 1.0},
+          {static_cast<core::TagId>(1 + (item * 7) % 4), 0.5}};
+      ASSERT_TRUE((*engine)->RegisterItem(item, tags, Seconds(0)).ok());
+    }
+    ASSERT_TRUE((*engine)->ProcessBatch(actions).ok());
+    EXPECT_EQ(QuerySweepDigest((*engine)->query(), now), golden.digest);
   }
 }
 
-// --- satellite 3 at the engine level: RegisterItem invalidates the cache ---
+// --- RegisterItem invalidates the engine's shared cache ---
 
 TEST(EngineQueryCacheTest, RegisterItemInvalidatesCachedNotFound) {
-  auto engine = engine::TencentRec::Create(ParityOptions("inval", true));
+  auto engine = engine::TencentRec::Create(ParityOptions("inval"));
   ASSERT_TRUE(engine.ok());
   auto cache = (*engine)->query_cache();
   ASSERT_NE(cache, nullptr);
