@@ -1,5 +1,6 @@
 #include "tstorm/cluster.h"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 
@@ -294,6 +295,7 @@ void LocalCluster::RunSpoutTask(Task* task) {
 
   Collector collector(this, task);
   task->spout->Open(ctx);
+  spouts_opened_->arrive_and_wait();
   for (;;) {
     const uint64_t t0 = NowMicros();
     const bool more = task->spout->NextBatch(collector);
@@ -371,6 +373,8 @@ void LocalCluster::RunTask(Task* task) {
 Status LocalCluster::Run() {
   if (started_) return Status::FailedPrecondition("cluster already ran");
   started_ = true;
+  spouts_opened_ = std::make_unique<std::latch>(std::count_if(
+      tasks_.begin(), tasks_.end(), [](const auto& t) { return t->is_spout; }));
 
   // Start bolts first so spout emissions always find live consumers.
   for (auto& t : tasks_) {

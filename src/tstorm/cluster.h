@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,7 +44,11 @@ struct ComponentMetrics {
 /// (component instance), with bounded queues between tasks providing
 /// backpressure.
 ///
-/// Lifecycle: spouts pull until exhausted, then end-of-stream markers
+/// Lifecycle: every spout instance is Open()ed before any of them calls
+/// NextBatch() — consumer-group members (TdAccessActionSpout) all join
+/// before the first poll, so no member reads a partition that a later
+/// join rebalances to a sibling which re-reads it from the committed
+/// offset. Spouts then pull until exhausted, then end-of-stream markers
 /// propagate topologically; every bolt gets a final Tick() (flushing
 /// combiners/caches) before Cleanup(). Run() returns when every task has
 /// drained — results persisted by storage bolts (e.g. in TDStore) are then
@@ -110,6 +115,8 @@ class LocalCluster {
   /// Output stream declarations per component id.
   std::vector<std::vector<StreamDecl>> streams_;
   bool started_ = false;
+  /// Counts down once per spout task after Open(); set by Run().
+  std::unique_ptr<std::latch> spouts_opened_;
 };
 
 }  // namespace tencentrec::tstorm

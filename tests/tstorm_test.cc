@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "tstorm/cluster.h"
 #include "tstorm/topology.h"
@@ -418,6 +420,57 @@ TEST(LocalClusterTest, MultipleSpoutsMergeIntoOneBolt) {
   ASSERT_TRUE(cluster.ok());
   ASSERT_TRUE((*cluster)->Run().ok());
   EXPECT_EQ(sink.tuples.size(), 100u);  // EOS waited for both sources
+}
+
+/// Records how many spout instances had finished Open() when this instance
+/// first ran NextBatch(); instance 1 opens slowly.
+class SlowOpenSpout : public ISpout {
+ public:
+  SlowOpenSpout(std::atomic<int>* opened, std::atomic<int>* min_seen)
+      : opened_(opened), min_seen_(min_seen) {}
+
+  std::vector<StreamDecl> DeclareOutputs() const override {
+    return {{"ints", {"key", "value"}}};
+  }
+
+  void Open(const TaskContext& ctx) override {
+    if (ctx.instance == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    opened_->fetch_add(1);
+  }
+
+  bool NextBatch(OutputCollector& out) override {
+    (void)out;
+    int seen = opened_->load();
+    int prev = min_seen_->load();
+    while (seen < prev && !min_seen_->compare_exchange_weak(prev, seen)) {
+    }
+    return false;
+  }
+
+ private:
+  std::atomic<int>* opened_;
+  std::atomic<int>* min_seen_;
+};
+
+TEST(LocalClusterTest, EverySpoutOpensBeforeAnyPolls) {
+  // Consumer-group spouts join in Open(); a member that polled before a
+  // sibling joined would read partitions the join then moves to the
+  // sibling, which re-reads them from the committed offset.
+  std::atomic<int> opened{0};
+  std::atomic<int> min_seen{1 << 30};
+  Sink sink;
+  TopologyBuilder b("open-barrier");
+  b.SetSpout("spout",
+             [&] { return std::make_unique<SlowOpenSpout>(&opened, &min_seen); },
+             3);
+  b.SetBolt("bolt", [&sink] { return std::make_unique<CollectBolt>(&sink); })
+      .ShuffleGrouping("spout");
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  EXPECT_EQ(min_seen.load(), 3);
 }
 
 TEST(TopologySpecTest, ToDotRendersComponentsAndEdges) {
