@@ -1,6 +1,6 @@
 // Ablation: the fine-grained key-value cache (§5.2, temporal burst events).
 //
-// Question: how many TDStore reads does the per-key write-through cache
+// Question: how many TDStore reads does the per-key write-behind cache
 // save when a temporal burst concentrates traffic on a few hot items (and
 // the users re-reading them)? Compares store read counts with the cache
 // enabled vs disabled, for a normal stream and a bursty one.

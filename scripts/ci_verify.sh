@@ -16,7 +16,7 @@
 #      consumed once, well-formed lists, identical replay);
 #   5. an AddressSanitizer+UBSan build running the `itemcf` label (the
 #      raw-memory flat tables, arena scratch, and SoA TopK of DESIGN.md
-#      §15, under the serial CF model and the flat-vs-legacy parity suite);
+#      §15, under the serial CF model and its golden-digest suite);
 #   6. a ThreadSanitizer build running the `concurrent` label (the tstorm
 #      executor and the store-backed topology, striped histogram/tracer,
 #      batch clients, single-flight query cache, profiler start/stop).

@@ -33,11 +33,11 @@ struct PairKeyHash {
 /// The canonical pair packed into one uint64 — `(lo << 32) | hi` — the key
 /// format of the flat pair tables (common/flat_map.h): one word to hash,
 /// compare, and store instead of a 16-byte struct. Requires ids in
-/// [0, 2^32) (checked; the escape hatch is the per-instance
-/// use_flat_kernels option, which falls back to the PairKey maps). The
-/// canonical lo <= hi ordering guarantees a packed pair never equals the
-/// flat tables' all-ones empty sentinel: that would need lo == hi ==
-/// 2^32-1, and the CF layers never form self-pairs.
+/// [0, 2^32) (checked: an id outside it aborts rather than aliasing another
+/// pair; no caller produces one). The canonical lo <= hi ordering
+/// guarantees a packed pair never equals the flat tables' all-ones empty
+/// sentinel: that would need lo == hi == 2^32-1, and the CF layers never
+/// form self-pairs.
 inline uint64_t PackPair(const PairKey& k) {
   TR_CHECK(k.lo >= 0 && k.hi < (static_cast<ItemId>(1) << 32));
   return (static_cast<uint64_t>(k.lo) << 32) | static_cast<uint64_t>(k.hi);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/flat_map.h"
@@ -21,34 +20,24 @@ namespace tencentrec::core {
 /// `window_sessions == 0` disables forgetting (cumulative counts), which is
 /// the plain incremental CF of §4.1.3.
 ///
-/// Per-session tables come in two interchangeable kernels selected at
-/// construction: open-addressing flat tables over packed uint64 keys (the
-/// default — the hot path after the DESIGN.md §15 rewrite) and the original
-/// std::unordered_map kernel, kept for flat-vs-legacy parity testing. The
-/// two produce bit-identical counts for any input stream: a per-key total
-/// is the same sum of the same deltas in the same arrival order regardless
-/// of which table holds it.
-///
-/// The flat kernel additionally maintains windowed *totals* tables updated
-/// incrementally: adds land in both the owning session table and the
-/// total, and eviction subtracts the dropped session's entries, so
+/// Each session holds flat open-addressing tables over packed uint64 keys
+/// (DESIGN.md §15). Windowed *totals* tables are maintained incrementally
+/// beside them: adds land in both the owning session table and the total,
+/// and eviction subtracts the dropped session's entries, so
 /// ItemCount/PairCount are one probe instead of one per live session.
-/// Action weights are dyadic rationals (multiples of 0.5), so every sum
-/// and the eviction subtraction are exact in double precision — the
-/// maintained total is bit-identical to the legacy kernel's
-/// sum-over-sessions for any accumulation order (asserted by
-/// tests/flat_kernel_test.cc on windowed-expiry traces). Fully-evicted
-/// keys linger as exact-0.0 entries (the tables have no tombstones);
-/// queries read them as 0.0, the same value the legacy scan returns, and
-/// TrackedItems/TrackedPairs keep scanning live sessions so zombies never
-/// inflate the tracked counts.
+/// Action weights are dyadic rationals (multiples of 0.5), so every sum and
+/// the eviction subtraction are exact in double precision: the maintained
+/// total equals the naive sum over live sessions bit for bit, for any
+/// accumulation order (asserted by WindowedCountsProperty in
+/// tests/property_test.cc, with late in-window adds and expiry).
+/// Fully-evicted keys linger as exact-0.0 entries (the tables have no
+/// tombstones); queries read them as 0.0, and TrackedItems/TrackedPairs
+/// scan the live sessions so zombies never inflate the tracked counts.
 class WindowedCounts {
  public:
-  WindowedCounts(EventTime session_length, int window_sessions,
-                 bool use_flat_tables = true)
+  WindowedCounts(EventTime session_length, int window_sessions)
       : session_length_(session_length < 1 ? 1 : session_length),
-        window_sessions_(window_sessions),
-        use_flat_(use_flat_tables) {}
+        window_sessions_(window_sessions) {}
 
   /// Adds ∆r to itemCount(item) in the session containing `ts`.
   void AddItem(ItemId item, double delta, EventTime ts);
@@ -81,12 +70,8 @@ class WindowedCounts {
  private:
   struct Session {
     int64_t id = 0;
-    /// Exactly one kernel's tables are populated, per the owner's
-    /// use_flat_ flag; the other pair stays empty (default-constructed).
-    FlatMap64<double> items_flat;
-    FlatMap64<double> pairs_flat;
-    std::unordered_map<ItemId, double> items_map;
-    std::unordered_map<PairKey, double, PairKeyHash> pairs_map;
+    FlatMap64<double> items;
+    FlatMap64<double> pairs;
   };
 
   int64_t SessionOf(EventTime ts) const { return ts / session_length_; }
@@ -102,10 +87,9 @@ class WindowedCounts {
 
   const EventTime session_length_;
   const int window_sessions_;
-  const bool use_flat_;
   int64_t latest_session_ = -1;
-  /// Flat kernel only: Σ over live sessions, maintained incrementally (see
-  /// the class comment). May hold exact-0.0 zombies for evicted keys.
+  /// Σ over live sessions, maintained incrementally (see the class
+  /// comment). May hold exact-0.0 zombies for evicted keys.
   FlatMap64<double> items_total_;
   FlatMap64<double> pairs_total_;
   /// Live sessions, ordered by ascending session id; at most

@@ -297,27 +297,6 @@ Status Client::MultiGetDouble(const std::vector<std::string>& keys,
   return Status::OK();
 }
 
-Result<std::vector<std::optional<std::string>>> Client::MultiGet(
-    const std::vector<std::string>& keys) {
-  std::vector<Result<std::string>> raw;
-  Status s = MultiGetBatch(keys, &raw);
-  if (!s.ok()) return s;
-  std::vector<std::optional<std::string>> out;
-  out.reserve(raw.size());
-  for (auto& r : raw) {
-    if (r.ok()) {
-      out.emplace_back(std::move(r).value());
-    } else if (r.status().IsNotFound()) {
-      out.emplace_back(std::nullopt);
-    } else {
-      // Legacy shape can't carry per-key statuses; use MultiGetBatch when
-      // partial results matter.
-      return r.status();
-    }
-  }
-  return out;
-}
-
 Status Client::ScanPrefix(
     std::string_view prefix,
     const std::function<bool(std::string_view, std::string_view)>& visitor) {

@@ -1,7 +1,6 @@
 #ifndef TENCENTREC_TDSTORE_CLIENT_H_
 #define TENCENTREC_TDSTORE_CLIENT_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,12 +57,6 @@ class Client {
     return Put(key, EncodeInt64(value));
   }
   Result<int64_t> GetInt64(std::string_view key, int64_t fallback = 0);
-
-  /// Legacy multi-get shape: nullopt for missing keys, first hard error
-  /// wins. Now backed by the grouped batch path, so one route-table pass and
-  /// one server call per host instead of a point-get per key.
-  Result<std::vector<std::optional<std::string>>> MultiGet(
-      const std::vector<std::string>& keys);
 
   /// Batched ops. Keys are grouped by instance, instances by current host,
   /// and each host gets ONE call for its whole share; results are stitched

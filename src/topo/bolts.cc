@@ -45,9 +45,6 @@ bool UpsertScored(core::Recommendations* list, core::ItemId other,
 void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   ctx_ = ctx;
   client_ = std::make_unique<tdstore::Client>(app_->store);
-  cache_ = std::make_unique<StoreCache>(client_.get(),
-                                        app_->options.cache_capacity,
-                                        app_->options.enable_cache);
   tdstore::BatchWriter::Options wopts;
   wopts.max_ops = app_->options.store_batch_max_ops;
   wopts.max_age_micros = app_->options.store_batch_max_age_micros;
@@ -55,7 +52,9 @@ void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   // Write-behind: every cache write stages on the writer instead of issuing
   // a point store op per key. Cleanup() ships whatever the auto-flush
   // thresholds left staged.
-  cache_->set_writer(writer_.get());
+  cache_ = std::make_unique<StoreCache>(
+      client_.get(), writer_.get(),
+      app_->options.enable_cache ? app_->options.cache_capacity : 0);
   // Resolve the event-to-store histogram once; a null pointer makes every
   // RecordEventToStore a branch-and-return with no clock read.
   e2s_ = MetricsEnabled()
@@ -87,14 +86,11 @@ Status StoreBolt::FlushCombinerBatched(Combiner* combiner) {
   deltas.reserve(drained.size());
   for (const auto& [key, delta] : drained) deltas.emplace(key, delta);
   Status first_error;
-  cache_->AddDoubleBatch(drained, writer_.get(),
-                         [&](const std::string& key, const Status& s) {
-                           if (first_error.ok()) first_error = s;
-                           auto it = deltas.find(key);
-                           if (it != deltas.end()) {
-                             combiner->Add(key, it->second);
-                           }
-                         });
+  cache_->AddDoubleBatch(drained, [&](const std::string& key, const Status& s) {
+    if (first_error.ok()) first_error = s;
+    auto it = deltas.find(key);
+    if (it != deltas.end()) combiner->Add(key, it->second);
+  });
   Status flush = writer_->Flush();
   if (!first_error.ok()) return first_error;
   return flush;

@@ -1,18 +1,22 @@
-// Flat-vs-legacy kernel parity (DESIGN.md §15). The rewrite swapped the CF
-// state containers (std::unordered_map/set -> open-addressing flat tables)
-// and the TopK maintenance kernel (sort-per-update -> single-pass sift);
-// neither may change any observable output. These tests drive both kernels
-// with identical traces and assert bit-identical results. Exactness is
-// legitimate: action weights are dyadic rationals (multiples of 0.5), so
-// every count is an exact float sum, identical in any accumulation order.
+// The flat CF state kernel (DESIGN.md §15): flat table and arena units,
+// TopK's single-pass sift against a sort-per-update reference, and golden
+// digests of every PracticalItemCf output on four traces. The digests were
+// captured while the std::unordered_map kernel still existed, with both
+// kernels asserted to produce them, so they pin today's outputs to that
+// original reference bit for bit. Exactness is legitimate: action weights
+// are dyadic rationals (multiples of 0.5), so every count is an exact float
+// sum, identical in any accumulation order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/topk.h"
 #include "core/itemcf/item_cf.h"
@@ -132,6 +136,65 @@ TEST(ArenaTest, ArenaVectorGrowthPreservesContents) {
 
 // --- TopK determinism + kernel equivalence -----------------------------------
 
+/// Sort-per-update reference for TopK: array-of-structs entries re-sorted
+/// by (score desc, id asc) on every change. The sift kernel must match it
+/// on any trace.
+template <typename Id>
+class SortPerUpdateTopK {
+ public:
+  using Entry = typename TopK<Id>::Entry;
+
+  explicit SortPerUpdateTopK(size_t k) : k_(k) {}
+
+  bool Update(const Id& id, double score) {
+    for (auto& e : entries_) {
+      if (e.id == id) {
+        e.score = score;
+        Reorder();
+        return true;
+      }
+    }
+    if (entries_.size() < k_) {
+      entries_.push_back({id, score});
+    } else if (score > entries_.back().score) {
+      entries_.back() = {id, score};
+    } else {
+      return false;
+    }
+    Reorder();
+    return true;
+  }
+
+  bool Erase(const Id& id) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].id == id) {
+        entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  double Threshold() const {
+    return entries_.size() < k_ ? 0.0 : entries_.back().score;
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  void Reorder() {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.id < b.id;
+              });
+  }
+
+  size_t k_;
+  std::vector<Entry> entries_;
+};
+
 TEST(TopKTest, TieOrderingDeterministicUnderShuffledInsertions) {
   // Regression for the ordering bug this PR fixes: equal-score entries used
   // to land in unspecified relative order (non-stable sort, strict `>`
@@ -174,14 +237,14 @@ TEST(TopKTest, TieOrderingDeterministicUnderShuffledInsertions) {
   }
 }
 
-TEST(TopKTest, MatchesLegacyOnRandomizedTraces) {
-  // The sift kernel must be bit-identical to the (tie-break-fixed)
-  // sort-per-update oracle on any trace: same entries, same thresholds,
-  // same return values, including Erase and overflow eviction.
+TEST(TopKTest, MatchesSortPerUpdateOnRandomizedTraces) {
+  // The sift kernel must be bit-identical to the sort-per-update reference
+  // on any trace: same entries, same thresholds, same return values,
+  // including Erase and overflow eviction.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     TopK<int64_t> fast(8);
-    LegacyTopK<int64_t> oracle(8);
+    SortPerUpdateTopK<int64_t> oracle(8);
     for (int step = 0; step < 3000; ++step) {
       const int64_t id = static_cast<int64_t>(1 + rng.Uniform(30));
       if (rng.Bernoulli(0.1)) {
@@ -199,7 +262,7 @@ TEST(TopKTest, MatchesLegacyOnRandomizedTraces) {
   }
 }
 
-// --- container-level parity: PracticalItemCf flat vs legacy ------------------
+// --- PracticalItemCf golden digests ------------------------------------------
 
 UserAction Act(UserId user, ItemId item, ActionType type, EventTime ts) {
   UserAction a;
@@ -227,84 +290,91 @@ std::vector<UserAction> RandomActions(uint64_t seed, int num_actions,
   return actions;
 }
 
-/// Runs one trace through both kernels and asserts every observable output
-/// is bit-identical: counts, similarities, top-K entries (ids AND scores),
-/// admission thresholds, prune decisions, stats, and query results.
-void ExpectKernelParity(PracticalItemCf::Options options,
-                        const std::vector<UserAction>& actions, int num_users,
-                        int num_items) {
-  options.use_flat_kernels = true;
-  PracticalItemCf flat(options);
-  options.use_flat_kernels = false;
-  PracticalItemCf legacy(options);
-
-  for (const auto& action : actions) {
-    flat.ProcessAction(action);
-    legacy.ProcessAction(action);
-  }
-
-  EXPECT_EQ(flat.stats().actions, legacy.stats().actions);
-  EXPECT_EQ(flat.stats().pair_updates, legacy.stats().pair_updates);
-  EXPECT_EQ(flat.stats().pair_updates_pruned,
-            legacy.stats().pair_updates_pruned);
-  EXPECT_EQ(flat.stats().pairs_pruned, legacy.stats().pairs_pruned);
-  EXPECT_EQ(flat.counts().TrackedItems(), legacy.counts().TrackedItems());
-  EXPECT_EQ(flat.counts().TrackedPairs(), legacy.counts().TrackedPairs());
-
+/// FNV-1a digest of a byte transcript of every observable PracticalItemCf
+/// output after a trace: stats, tracked item/pair counts, per-item counts
+/// and per-pair counts, raw bits of Similarity/EffectiveSimilarity, prune
+/// flags, each top-K list's ids with raw score bits and its threshold, and
+/// per user the recent items, every rating and RecommendForUser(user, 5).
+/// A changed id, rank, flag or single score bit changes the digest.
+uint64_t KernelDigest(const PracticalItemCf& cf, int num_users,
+                      int num_items) {
+  std::string bytes;
+  auto raw = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  raw(cf.stats().actions);
+  raw(cf.stats().pair_updates);
+  raw(cf.stats().pair_updates_pruned);
+  raw(cf.stats().pairs_pruned);
+  raw(static_cast<uint64_t>(cf.counts().TrackedItems()));
+  raw(static_cast<uint64_t>(cf.counts().TrackedPairs()));
   for (ItemId a = 1; a <= num_items; ++a) {
-    EXPECT_EQ(flat.counts().ItemCount(a), legacy.counts().ItemCount(a))
-        << "item " << a;
+    raw(cf.counts().ItemCount(a));
     for (ItemId b = a + 1; b <= num_items; ++b) {
-      EXPECT_EQ(flat.counts().PairCount(a, b), legacy.counts().PairCount(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.Similarity(a, b), legacy.Similarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.EffectiveSimilarity(a, b), legacy.EffectiveSimilarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.IsPruned(a, b), legacy.IsPruned(a, b))
-          << "pair (" << a << ", " << b << ")";
+      raw(cf.counts().PairCount(a, b));
+      raw(cf.Similarity(a, b));
+      raw(cf.EffectiveSimilarity(a, b));
+      raw(static_cast<uint8_t>(cf.IsPruned(a, b)));
     }
-    const TopK<ItemId>* fl = flat.SimilarItems(a);
-    const TopK<ItemId>* ll = legacy.SimilarItems(a);
-    ASSERT_EQ(fl == nullptr, ll == nullptr) << "item " << a;
-    if (fl != nullptr) {
-      EXPECT_EQ(fl->entries(), ll->entries()) << "item " << a;
-      EXPECT_EQ(fl->Threshold(), ll->Threshold()) << "item " << a;
+    const TopK<ItemId>* list = cf.SimilarItems(a);
+    raw(static_cast<uint8_t>(list != nullptr));
+    if (list == nullptr) continue;
+    raw(static_cast<uint64_t>(list->size()));
+    for (const auto& e : list->entries()) {
+      raw(e.id);
+      raw(e.score);
     }
+    raw(list->Threshold());
   }
-
   for (UserId u = 1; u <= num_users; ++u) {
-    EXPECT_EQ(flat.RecentItemsOf(u), legacy.RecentItemsOf(u)) << "user " << u;
-    for (ItemId i = 1; i <= num_items; ++i) {
-      EXPECT_EQ(flat.UserRating(u, i), legacy.UserRating(u, i))
-          << "user " << u << " item " << i;
+    const std::vector<ItemId> recent = cf.RecentItemsOf(u);
+    raw(static_cast<uint64_t>(recent.size()));
+    for (ItemId item : recent) raw(item);
+    for (ItemId i = 1; i <= num_items; ++i) raw(cf.UserRating(u, i));
+    const Recommendations recs = cf.RecommendForUser(u, 5);
+    raw(static_cast<uint64_t>(recs.size()));
+    for (const auto& r : recs) {
+      raw(r.item);
+      raw(r.score);
     }
-    EXPECT_EQ(flat.RecommendForUser(u, 5), legacy.RecommendForUser(u, 5))
-        << "user " << u;
   }
+  return HashString(bytes);
 }
 
-TEST(FlatKernelParityTest, SeededRandomTrace) {
+/// Runs one trace through a fresh PracticalItemCf and asserts its digest
+/// equals the golden constant.
+void ExpectGoldenDigest(const PracticalItemCf::Options& options,
+                        const std::vector<UserAction>& actions, int num_users,
+                        int num_items, uint64_t golden) {
+  PracticalItemCf cf(options);
+  for (const auto& action : actions) cf.ProcessAction(action);
+  const uint64_t digest = KernelDigest(cf, num_users, num_items);
+  EXPECT_EQ(digest, golden) << std::hex << "0x" << digest;
+}
+
+TEST(KernelDigestTest, SeededRandomTrace) {
   PracticalItemCf::Options options;
   options.linked_time = Hours(4);
   options.top_k = 5;  // small lists so overflow eviction is exercised
-  ExpectKernelParity(options, RandomActions(17, 4000, 25, 40), 25, 40);
+  ExpectGoldenDigest(options, RandomActions(17, 4000, 25, 40), 25, 40,
+                     0x2e77532c8e80e8e7ull);
 }
 
-TEST(FlatKernelParityTest, WindowedTraceWithExpiry) {
+TEST(KernelDigestTest, WindowedTraceWithExpiry) {
   PracticalItemCf::Options options;
   options.linked_time = Hours(2);
   options.session_length = Hours(1);
   options.window_sessions = 3;
   options.top_k = 4;
   // 40 s spacing over 4000 actions spans ~44 sessions, so plenty expire.
-  ExpectKernelParity(options, RandomActions(23, 4000, 20, 24), 20, 24);
+  ExpectGoldenDigest(options, RandomActions(23, 4000, 20, 24), 20, 24,
+                     0xe0a0016a550d5cd9ull);
 }
 
-TEST(FlatKernelParityTest, AllTiesTrace) {
+TEST(KernelDigestTest, AllTiesTrace) {
   // Adversarial all-ties workload: one action type and symmetric structure
-  // give many exactly-equal similarities; list admission/eviction must make
-  // identical tie decisions in both kernels.
+  // give many exactly-equal similarities; list admission/eviction must keep
+  // making the same tie decisions.
   std::vector<UserAction> actions;
   EventTime ts = 0;
   for (UserId u = 1; u <= 16; ++u) {
@@ -316,24 +386,23 @@ TEST(FlatKernelParityTest, AllTiesTrace) {
   PracticalItemCf::Options options;
   options.linked_time = Days(30);
   options.top_k = 3;  // far smaller than the clique: constant tie-eviction
-  ExpectKernelParity(options, actions, 16, 12);
+  ExpectGoldenDigest(options, actions, 16, 12, 0xfc7e876bf0ed0d35ull);
 }
 
-TEST(FlatKernelParityTest, PruneEraseReopenTrace) {
+TEST(KernelDigestTest, PruneEraseReopenTrace) {
   // Drives Algorithm 1 hard: tight lists + aggressive delta so pairs get
   // pruned (erasing stale list entries and reopening thresholds), then keep
   // arriving as skipped updates. Every prune decision, erase, and skip
-  // counter must match across kernels.
+  // counter is part of the digest.
   PracticalItemCf::Options options;
   options.linked_time = Hours(6);
   options.top_k = 3;
   options.enable_pruning = true;
   options.hoeffding_delta = 0.4;
   const auto actions = RandomActions(31, 6000, 12, 30);
-  ExpectKernelParity(options, actions, 12, 30);
+  ExpectGoldenDigest(options, actions, 12, 30, 0x585ee6385989e4e3ull);
 
   // The trace must actually prune, or the test proves nothing.
-  options.use_flat_kernels = true;
   PracticalItemCf probe(options);
   for (const auto& action : actions) probe.ProcessAction(action);
   EXPECT_GT(probe.stats().pairs_pruned, 0);

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <map>
+#include <tuple>
 #include <unistd.h>
 
 #include "common/random.h"
@@ -77,6 +80,90 @@ TEST_P(WindowedCountsProperty, MatchesNaiveReference) {
       }
     }
   }
+}
+
+// Dyadic action weights (multiples of 0.5) make every windowed total an
+// exact double sum in any order, so the incrementally maintained totals
+// must equal the naive log sum bit for bit: also after late in-window adds
+// land in older live sessions and after those sessions expire and their
+// partials are subtracted.
+TEST_P(WindowedCountsProperty, DyadicTotalsStayExactAcrossLateAddsAndExpiry) {
+  Rng rng(GetParam());
+  const EventTime session_len = Hours(1);
+  const int window = 2 + static_cast<int>(rng.Uniform(4));
+  core::WindowedCounts counts(session_len, window);
+
+  std::vector<std::tuple<int64_t, core::ItemId, double>> item_log;
+  std::vector<std::tuple<int64_t, core::ItemId, core::ItemId, double>>
+      pair_log;
+  int late_adds = 0;
+
+  EventTime now = 0;
+  for (int step = 0; step < 600; ++step) {
+    // Mostly short steps; now and then a quiet gap long enough to expire
+    // every live session.
+    now += static_cast<EventTime>(
+        rng.Bernoulli(0.03) ? rng.Uniform(2 * window * session_len)
+                            : rng.Uniform(Minutes(20)));
+    EventTime ts = now;
+    if (rng.Bernoulli(0.3)) {
+      // Late but in window: anywhere from the oldest live session's start.
+      const int64_t oldest =
+          std::max<int64_t>(0, counts.CurrentSession() - window + 1);
+      const EventTime lo = oldest * session_len;
+      ts = lo + static_cast<EventTime>(rng.Uniform(now - lo + 1));
+      if (ts / session_len < counts.CurrentSession()) ++late_adds;
+    }
+    const auto item = static_cast<core::ItemId>(1 + rng.Uniform(6));
+    const auto other = static_cast<core::ItemId>(1 + rng.Uniform(6));
+    const double delta = 0.5 * static_cast<double>(1 + rng.Uniform(8));
+    const int64_t session = ts / session_len;
+    if (rng.Bernoulli(0.5)) {
+      counts.AddItem(item, delta, ts);
+      item_log.emplace_back(session, item, delta);
+    } else if (item != other) {
+      counts.AddPair(item, other, delta, ts);
+      pair_log.emplace_back(session, std::min(item, other),
+                            std::max(item, other), delta);
+    }
+    if (rng.Bernoulli(0.05)) counts.AdvanceTo(now);  // quiet-period expiry
+
+    if (step % 10 != 0) continue;
+    const int64_t latest = counts.CurrentSession();
+    auto in_window = [&](int64_t s) { return s > latest - window; };
+    double item_count[7] = {};
+    size_t tracked_items = 0;
+    for (core::ItemId i = 1; i <= 6; ++i) {
+      for (const auto& [s, it, d] : item_log) {
+        if (it == i && in_window(s)) item_count[i] += d;
+      }
+      if (item_count[i] > 0.0) ++tracked_items;
+      EXPECT_EQ(counts.ItemCount(i), item_count[i]) << "item " << i;
+    }
+    EXPECT_EQ(counts.TrackedItems(), tracked_items);
+    for (core::ItemId a = 1; a <= 6; ++a) {
+      for (core::ItemId b = a + 1; b <= 6; ++b) {
+        double expected = 0.0;
+        for (const auto& [s, lo, hi, d] : pair_log) {
+          if (lo == a && hi == b && in_window(s)) expected += d;
+        }
+        EXPECT_EQ(counts.PairCount(a, b), expected)
+            << "pair (" << a << ", " << b << ")";
+        const double sim =
+            item_count[a] > 0.0 && item_count[b] > 0.0 && expected > 0.0
+                ? expected / std::sqrt(item_count[a] * item_count[b])
+                : 0.0;
+        EXPECT_EQ(counts.Similarity(a, b), sim)
+            << "pair (" << a << ", " << b << ")";
+      }
+    }
+  }
+  // The trace must exercise both properties, or the test proves nothing.
+  EXPECT_GT(late_adds, 0);
+  const int64_t latest = counts.CurrentSession();
+  EXPECT_TRUE(std::any_of(item_log.begin(), item_log.end(), [&](const auto& e) {
+    return std::get<0>(e) <= latest - window;
+  }));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowedCountsProperty,

@@ -1,6 +1,6 @@
 // The batched query tier: QueryCache semantics (dedupe, TTL positive +
 // negative caching, single-flight coalescing, eviction, invalidation),
-// StoreCache negative caching with write-through invalidation, golden
+// StoreCache negative caching under write-behind writes, golden
 // digests of every StoreQuery output on seeded streams, the
 // deregistered-item read bound on RecommendCb, and per-candidate
 // degradation under per-key store errors.
@@ -251,7 +251,8 @@ TEST(StoreCacheTest, NegativeEntryServesRepeatedMisses) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("nope").status().IsNotFound());
   ResetInvocations(store->get());
@@ -266,14 +267,16 @@ TEST(StoreCacheTest, PutAfterCachedNotFoundIsVisibleOnNextRead) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("k").status().IsNotFound());  // negative entry
-  ASSERT_TRUE(cache.Put("k", "fresh").ok());          // write-through
+  ASSERT_TRUE(cache.Put("k", "fresh").ok());          // staged write
   auto v = cache.Get("k");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "fresh");
-  // And the store really has it (write-through, not cache-only).
+  // And the store really has it after the flush (not cache-only).
+  ASSERT_TRUE(writer.Flush().ok());
   auto stored = client.Get("k");
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, "fresh");
@@ -285,13 +288,15 @@ TEST(StoreCacheTest, AddDoubleAfterCachedNotFoundSkipsTheReadAndWrites) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("ctr").status().IsNotFound());
   ResetInvocations(store->get());
   auto sum = cache.AddDouble("ctr", 2.5);
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(*sum, 2.5);
+  ASSERT_TRUE(writer.Flush().ok());
   EXPECT_EQ(TotalInvocations(store->get()), 1);  // the Put only, no read
   EXPECT_GE(cache.stats().negative_hits, 1);
   auto stored = client.GetDouble("ctr", -1.0);
@@ -308,12 +313,12 @@ TEST(StoreCacheTest, AddDoubleBatchAfterCachedNotFoundStartsFromZero) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
   tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("w").status().IsNotFound());
   std::vector<std::pair<std::string, Status>> errors;
-  cache.AddDoubleBatch({{"w", 4.0}}, &writer,
+  cache.AddDoubleBatch({{"w", 4.0}},
                        [&](const std::string& key, const Status& s) {
                          errors.emplace_back(key, s);
                        });

@@ -136,12 +136,6 @@ TEST(ClientBatchTest, MultiGetBatchKeepsPerKeyStatuses) {
   EXPECT_EQ(out[2].value(), "3");
   EXPECT_TRUE(out[3].status().IsNotFound());
 
-  // A missing key never discards its siblings in the legacy shape either.
-  auto legacy = client.MultiGet({"a", "b", "c"});
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ((*legacy)[0].value(), "1");
-  EXPECT_FALSE((*legacy)[1].has_value());
-
   std::vector<Result<double>> dbl;
   ASSERT_TRUE(client.Put("num", EncodeDouble(2.5)).ok());
   ASSERT_TRUE(client.MultiGetDouble({"num", "absent"}, 7.0, &dbl).ok());

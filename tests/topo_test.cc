@@ -182,14 +182,17 @@ class CacheFixture : public ::testing::Test {
     ASSERT_TRUE(cluster.ok());
     cluster_ = std::move(cluster).value();
     client_ = std::make_unique<tdstore::Client>(cluster_.get());
+    writer_ = std::make_unique<tdstore::BatchWriter>(
+        client_.get(), tdstore::BatchWriter::Options{});
   }
 
   std::unique_ptr<tdstore::Cluster> cluster_;
   std::unique_ptr<tdstore::Client> client_;
+  std::unique_ptr<tdstore::BatchWriter> writer_;
 };
 
 TEST_F(CacheFixture, ReadThroughCachesHits) {
-  StoreCache cache(client_.get(), 16);
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(client_->Put("k", "v").ok());
   auto first = cache.Get("k");
   ASSERT_TRUE(first.ok());
@@ -199,19 +202,23 @@ TEST_F(CacheFixture, ReadThroughCachesHits) {
   EXPECT_EQ(cache.stats().misses, 1);
 }
 
-TEST_F(CacheFixture, WriteThroughVisibleToOtherReaders) {
-  StoreCache cache(client_.get(), 16);
+TEST_F(CacheFixture, WriteVisibleToOtherReadersAfterFlush) {
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(cache.Put("k", "v1").ok());
-  // Another worker reading TDStore directly sees the write immediately.
+  // Write-behind: the put is staged, not yet in TDStore.
+  EXPECT_TRUE(client_->Get("k").status().IsNotFound());
+  ASSERT_TRUE(writer_->Flush().ok());
+  // Another worker reading TDStore directly sees the write after the flush.
   auto direct = client_->Get("k");
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*direct, "v1");
 }
 
 TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
-  StoreCache cache(client_.get(), 16);
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(cache.AddDouble("c", 1.0).ok());
   ASSERT_TRUE(cache.AddDouble("c", 2.0).ok());
+  ASSERT_TRUE(writer_->Flush().ok());
   auto v = client_->GetDouble("c");
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 3.0);
@@ -220,35 +227,31 @@ TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
 }
 
 TEST_F(CacheFixture, LruEvicts) {
-  StoreCache cache(client_.get(), 2);
+  StoreCache cache(client_.get(), writer_.get(), 2);
   ASSERT_TRUE(cache.Put("a", "1").ok());
   ASSERT_TRUE(cache.Put("b", "2").ok());
   ASSERT_TRUE(cache.Put("c", "3").ok());  // evicts "a"
   EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(writer_->Flush().ok());
   auto v = cache.Get("a");  // miss -> store
   ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "1");
   EXPECT_EQ(cache.stats().misses, 1);
-}
-
-TEST_F(CacheFixture, DisabledCachePassesThrough) {
-  StoreCache cache(client_.get(), 16, /*enabled=*/false);
-  ASSERT_TRUE(cache.Put("k", "v").ok());
-  (void)cache.Get("k");
-  (void)cache.Get("k");
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(CacheFixture, CapacityZeroActsAsDisabled) {
   // Regression: capacity 0 used to reach lru_.back() on an empty list
   // inside the eviction loop (undefined behavior). It now means "cache
-  // disabled": all operations pass through to the store and hold nothing.
-  StoreCache cache(client_.get(), /*capacity=*/0);
+  // disabled": every read passes through to the store and nothing is held.
+  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/0);
   ASSERT_TRUE(cache.Put("k", "v1").ok());
-  auto v = cache.Get("k");
+  auto v = cache.Get("k");  // the staged put, read through the writer
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "v1");
-  (void)cache.Get("k");
+  ASSERT_TRUE(writer_->Flush().ok());
+  v = cache.Get("k");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "v1");
   EXPECT_EQ(cache.stats().hits, 0);  // nothing is ever cached
   EXPECT_EQ(cache.size(), 0u);
   ASSERT_TRUE(cache.AddDouble("c", 1.5).ok());
@@ -258,14 +261,16 @@ TEST_F(CacheFixture, CapacityZeroActsAsDisabled) {
   auto direct = client_->GetDouble("c");
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ(*direct, 2.5);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(CacheFixture, CapacityOneHoldsExactlyOneEntry) {
-  StoreCache cache(client_.get(), /*capacity=*/1);
+  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/1);
   ASSERT_TRUE(cache.Put("a", "1").ok());
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_TRUE(cache.Put("b", "2").ok());  // evicts "a"
   EXPECT_EQ(cache.size(), 1u);
+  ASSERT_TRUE(writer_->Flush().ok());
   auto b = cache.Get("b");
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(cache.stats().hits, 1);
@@ -286,42 +291,14 @@ TEST(CombinerTest, MergesSameKey) {
   combiner.Add("k2", 5.0);
   EXPECT_EQ(combiner.pending(), 2u);
 
-  std::map<std::string, double> flushed;
-  ASSERT_TRUE(combiner
-                  .Flush([&](const std::string& key, double delta) {
-                    flushed[key] = delta;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_DOUBLE_EQ(flushed["k1"], 3.0);
-  EXPECT_DOUBLE_EQ(flushed["k2"], 5.0);
-  EXPECT_EQ(combiner.pending(), 0u);
-  EXPECT_EQ(combiner.stats().added, 3);
-  EXPECT_EQ(combiner.stats().flushed, 2);
-}
-
-TEST(CombinerTest, FailedWriteKeepsEntry) {
-  Combiner combiner;
-  combiner.Add("k", 1.0);
-  EXPECT_FALSE(combiner
-                   .Flush([&](const std::string&, double) {
-                     return Status::Unavailable("down");
-                   })
-                   .ok());
-  EXPECT_EQ(combiner.pending(), 1u);
-}
-
-TEST(CombinerTest, DrainHandsOverWholeBufferForBatchedFlush) {
-  Combiner combiner;
-  combiner.Add("k1", 1.0);
-  combiner.Add("k1", 2.0);
-  combiner.Add("k2", 5.0);
   std::vector<std::pair<std::string, double>> drained;
   combiner.Drain(&drained);
-  EXPECT_EQ(combiner.pending(), 0u);
   std::map<std::string, double> by_key(drained.begin(), drained.end());
+  EXPECT_EQ(by_key.size(), 2u);
   EXPECT_DOUBLE_EQ(by_key["k1"], 3.0);
   EXPECT_DOUBLE_EQ(by_key["k2"], 5.0);
+  EXPECT_EQ(combiner.pending(), 0u);
+  EXPECT_EQ(combiner.stats().added, 3);
   EXPECT_EQ(combiner.stats().flushed, 2);
   // Failed keys can be re-buffered, restoring at-least-once.
   combiner.Add("k1", by_key["k1"]);
@@ -468,6 +445,76 @@ TEST_P(PipelineOracleTest, ShortLinkedTimeKeepsPerUserOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineOracleTest,
                          ::testing::Values(11u, 22u, 33u));
+
+class DropCollector : public tstorm::OutputCollector {
+ public:
+  void Emit(tstorm::Tuple) override {}
+  void EmitTo(int, tstorm::Tuple) override {}
+};
+
+// The at-least-once combiner flush (StoreBolt::FlushCombinerBatched): a
+// tick whose batched write fails on a down data server re-buffers every
+// failed key into the combiner, and a later tick ships it, so the final
+// item counts still equal the serial model's.
+TEST(ItemCountBoltTest, FlushFailureOnDownServerIsRetriedOnNextTick) {
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 2;
+  store_options.num_instances = 4;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "rebuffer";
+  options.linked_time = Days(30);
+  options.window_sessions = 0;
+  AppContext app(cluster->get(), options);
+  ItemCountBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "item_count";
+  bolt.Prepare(ctx);
+  DropCollector out;
+
+  core::PracticalItemCf::Options ref_options;
+  ref_options.linked_time = options.linked_time;
+  ref_options.window_sessions = 0;
+  core::PracticalItemCf reference(ref_options);
+  // The user-history layer, run here so the bolt sees exactly the rating
+  // deltas the topology's UserHistoryBolt would emit.
+  std::map<UserId, core::UserHistory> histories;
+  const auto actions = RandomActions(7, 300);
+  auto feed = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const UserAction& action = actions[i];
+      reference.ProcessAction(action);
+      const core::RatingUpdate update = histories[action.user].Apply(
+          action, options.weights, options.linked_time);
+      if (update.rating_delta <= 0.0) continue;
+      bolt.Execute(tstorm::Tuple::Of({update.item, update.rating_delta,
+                                      action.timestamp, int64_t{0},
+                                      int64_t{0}}),
+                   tstorm::TupleSource{}, out);
+    }
+  };
+
+  feed(0, 100);
+  bolt.Tick(out);  // healthy flush; warms the cache with stored counts
+  feed(100, 200);
+  const int64_t added_before = bolt.combiner_stats().added;
+  (*cluster)->data_server(0)->SetDown(true);
+  bolt.Tick(out);
+  (*cluster)->data_server(0)->SetDown(false);
+  // The down server's keys came back into the combiner.
+  EXPECT_GT(bolt.combiner_stats().added, added_before);
+  feed(200, actions.size());
+  bolt.Tick(out);
+  bolt.Cleanup();
+
+  tdstore::Client client(cluster->get());
+  for (ItemId item = 1; item <= 25; ++item) {
+    auto count = client.GetDouble(app.keys.ItemCount(0, item));
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, reference.counts().ItemCount(item)) << "item " << item;
+  }
+}
 
 TEST(PipelineTest, RestartDuringStreamLosesNothing) {
   // The paper's fault-tolerance claim: bolts are stateless, so crash-
