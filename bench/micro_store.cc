@@ -6,8 +6,8 @@
 //
 // The point phase issues them one client call per op (the pre-batching
 // shape); the batched phase buffers one combiner window of actions and
-// ships the same logical ops as grouped per-host Multi* calls plus one
-// write-behind BatchWriter flush. Both phases run against identical
+// ships the same logical ops as grouped per-host Write/MultiGet calls plus
+// one write-behind BatchWriter flush. Both phases run against identical
 // clusters; the reduction is measured with DataServer::invocations(), which
 // counts client-facing entry calls (a whole batch = 1) while reads/writes
 // keep per-op accounting.
@@ -124,8 +124,8 @@ double RunPoint(const std::vector<Action>& stream, int64_t* invocations) {
 }
 
 // The batched path: one combiner window buffers its increments, then ships
-// them as grouped Multi* calls; threshold reads go through one MultiGet per
-// window; overwrites ride the write-behind BatchWriter.
+// them as one grouped Write call; threshold reads go through one MultiGet
+// per window; overwrites ride the write-behind BatchWriter.
 double RunBatched(const std::vector<Action>& stream, int64_t* invocations) {
   auto cluster = MakeCluster();
   Client client(cluster.get());
@@ -139,22 +139,27 @@ double RunBatched(const std::vector<Action>& stream, int64_t* invocations) {
        start += static_cast<size_t>(kWindow)) {
     const size_t end =
         std::min(start + static_cast<size_t>(kWindow), stream.size());
-    std::vector<std::pair<std::string, double>> adds;
+    std::vector<std::string> add_keys;
     std::vector<std::string> reads;
-    adds.reserve(2 * (end - start));
+    add_keys.reserve(2 * (end - start));
     reads.reserve(2 * (end - start));
     for (size_t i = start; i < end; ++i) {
       const Action& a = stream[i];
       const int lo = std::min(a.item, a.other);
       const int hi = std::max(a.item, a.other);
-      adds.emplace_back(IcKey(a.item), 1.0);
-      adds.emplace_back(PcKey(lo, hi), 1.0);
+      add_keys.push_back(IcKey(a.item));
+      add_keys.push_back(PcKey(lo, hi));
       reads.push_back(StKey(lo));
       reads.push_back(StKey(hi));
       writer.PutDouble(StKey(a.item), 0.5);
     }
-    std::vector<Result<double>> incr_out;
-    CHECK_OK(client.MultiIncrDouble(adds, &incr_out));
+    std::vector<WriteOp> adds;
+    adds.reserve(add_keys.size());
+    for (const std::string& key : add_keys) {
+      adds.push_back(WriteOp::IncrDouble(key, 1.0));
+    }
+    std::vector<WriteResult> incr_out(adds.size());
+    CHECK_OK(client.Write(adds, incr_out));
     std::vector<Result<double>> read_out;
     CHECK_OK(client.MultiGetDouble(reads, 0.0, &read_out));
     CHECK_OK(writer.Flush());

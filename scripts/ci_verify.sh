@@ -14,9 +14,11 @@
 #      `ingest_bulk` run of e2ebench/run.py must print a result line with
 #      "correct": true (store totals equal the serial oracle, every action
 #      consumed once, well-formed lists, identical replay);
-#   5. an AddressSanitizer+UBSan build running the `itemcf` label (the
-#      raw-memory flat tables, arena scratch, and SoA TopK of DESIGN.md
-#      §15, under the serial CF model and its golden-digest suite);
+#   5. an AddressSanitizer+UBSan build running the `itemcf` and `store`
+#      labels (the raw-memory flat tables, arena scratch, and SoA TopK of
+#      DESIGN.md §15, under the serial CF model and its golden-digest
+#      suite; and the storage tier, whose Write/MultiGet ops borrow caller
+#      buffers through string_view/span);
 #   6. a ThreadSanitizer build running the `concurrent` label (the tstorm
 #      executor and the store-backed topology, striped histogram/tracer,
 #      batch clients, single-flight query cache, profiler start/stop).
@@ -62,10 +64,10 @@ sys.exit(0 if result.get("correct") is True else 1)' || {
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf label under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf|store labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
   cmake --build "$asan_dir" -j
-  (cd "$asan_dir" && ctest -L itemcf --output-on-failure)
+  (cd "$asan_dir" && ctest -L "itemcf|store" --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then

@@ -334,14 +334,9 @@ Status TencentRec::Init() {
 }
 
 Status TencentRec::RegisterItem(core::ItemId item,
-                                const core::TagVector& tags,
-                                EventTime published) {
+                                const core::TagVector& tags) {
   TR_RETURN_IF_ERROR(admin_client_->Put(app_->keys.ItemTags(item),
                                         topo::EncodeTagVector(tags)));
-  TR_RETURN_IF_ERROR(
-      admin_client_->PutInt64("im:" + options_.app.app + ":" +
-                                  std::to_string(item),
-                              published));
   // Maintain the inverted index (single-threaded admin path; read-modify-
   // write is safe here).
   for (const auto& [tag, w] : tags) {
@@ -372,8 +367,6 @@ Status TencentRec::RegisterItem(core::ItemId item,
   // rewrote — a cached NotFound for a just-registered item must not outlive
   // the registration.
   query_cache_->Invalidate(app_->keys.ItemTags(item));
-  query_cache_->Invalidate("im:" + options_.app.app + ":" +
-                           std::to_string(item));
   return Status::OK();
 }
 

@@ -108,10 +108,9 @@ class TencentRec {
 
   /// --- CB catalog (Application Specific setup) ---
 
-  /// Registers an item's content tags (and publish time) in TDStore; the
-  /// tag inverted index is updated for candidate generation.
-  Status RegisterItem(core::ItemId item, const core::TagVector& tags,
-                      EventTime published);
+  /// Registers an item's content tags in TDStore; the tag inverted index
+  /// is updated for candidate generation.
+  Status RegisterItem(core::ItemId item, const core::TagVector& tags);
 
   /// --- ingestion ---
 

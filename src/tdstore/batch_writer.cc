@@ -18,21 +18,23 @@ BatchWriter::BatchWriter(Client* client, Options options)
   }
 }
 
-void BatchWriter::ResolveKindConflict(std::string_view key, Kind kind) {
-  auto it = staged_kind_.find(std::string(key));
-  if (it != staged_kind_.end() && it->second != kind) (void)Flush();
+void BatchWriter::Stage(StagedOp op) {
+  if (staged_ops_ != nullptr) staged_ops_->Add();
+  op.trace_id = CurrentTraceId();
+  last_op_.insert_or_assign(op.key, ops_.size());
+  ops_.push_back(std::move(op));
+  if (ops_.size() >= options_.max_ops) (void)Flush();
 }
 
 void BatchWriter::Put(std::string_view key, std::string_view value,
                       PutCallback cb) {
-  ResolveKindConflict(key, Kind::kPut);
-  if (staged_ops_ != nullptr) staged_ops_->Add();
   std::string k(key);
-  auto idx_it = put_index_.find(k);
-  if (idx_it != put_index_.end()) {
+  auto it = last_op_.find(k);
+  if (it != last_op_.end() && ops_[it->second].kind == WriteOp::Kind::kPut) {
     // Last value wins; the superseded op's callback fires with the final
     // op's outcome (the overwrite made its effect unobservable anyway).
-    StagedOp& op = ops_[idx_it->second];
+    if (staged_ops_ != nullptr) staged_ops_->Add();
+    StagedOp& op = ops_[it->second];
     op.value = std::string(value);
     if (op.trace_id == 0) op.trace_id = CurrentTraceId();
     if (cb != nullptr) {
@@ -51,15 +53,11 @@ void BatchWriter::Put(std::string_view key, std::string_view value,
     return;
   }
   StagedOp op;
-  op.kind = Kind::kPut;
-  op.key = k;
+  op.kind = WriteOp::Kind::kPut;
+  op.key = std::move(k);
   op.value = std::string(value);
   op.put_cb = std::move(cb);
-  op.trace_id = CurrentTraceId();
-  put_index_[k] = ops_.size();
-  staged_kind_[std::move(k)] = Kind::kPut;
-  ops_.push_back(std::move(op));
-  MaybeAutoFlush();
+  Stage(std::move(op));
 }
 
 void BatchWriter::PutDouble(std::string_view key, double value,
@@ -69,170 +67,74 @@ void BatchWriter::PutDouble(std::string_view key, double value,
 
 void BatchWriter::IncrDouble(std::string_view key, double delta,
                              IncrDoubleCallback cb) {
-  ResolveKindConflict(key, Kind::kIncrDouble);
-  if (staged_ops_ != nullptr) staged_ops_->Add();
   StagedOp op;
-  op.kind = Kind::kIncrDouble;
+  op.kind = WriteOp::Kind::kIncrDouble;
   op.key = std::string(key);
-  op.ddelta = delta;
-  op.incr_double_cb = std::move(cb);
-  op.trace_id = CurrentTraceId();
-  staged_kind_[op.key] = Kind::kIncrDouble;
-  ops_.push_back(std::move(op));
-  MaybeAutoFlush();
-}
-
-void BatchWriter::IncrInt64(std::string_view key, int64_t delta,
-                            IncrInt64Callback cb) {
-  ResolveKindConflict(key, Kind::kIncrInt64);
-  if (staged_ops_ != nullptr) staged_ops_->Add();
-  StagedOp op;
-  op.kind = Kind::kIncrInt64;
-  op.key = std::string(key);
-  op.idelta = delta;
-  op.incr_int64_cb = std::move(cb);
-  op.trace_id = CurrentTraceId();
-  staged_kind_[op.key] = Kind::kIncrInt64;
-  ops_.push_back(std::move(op));
-  MaybeAutoFlush();
+  op.delta = delta;
+  op.incr_cb = std::move(cb);
+  Stage(std::move(op));
 }
 
 const std::string* BatchWriter::StagedPut(const std::string& key) const {
-  auto it = put_index_.find(key);
-  if (it == put_index_.end()) return nullptr;
+  auto it = last_op_.find(key);
+  if (it == last_op_.end() || ops_[it->second].kind != WriteOp::Kind::kPut) {
+    return nullptr;
+  }
   return &ops_[it->second].value;
 }
 
 bool BatchWriter::HasStaged(const std::string& key) const {
-  return staged_kind_.find(key) != staged_kind_.end();
-}
-
-void BatchWriter::MaybeAutoFlush() {
-  if (ops_.empty()) return;
-  if (ops_.size() == 1) oldest_staged_micros_ = static_cast<int64_t>(MonoMicros());
-  if (ops_.size() >= options_.max_ops) {
-    (void)Flush();
-    return;
-  }
-  if (options_.max_age_micros > 0 &&
-      static_cast<int64_t>(MonoMicros()) - oldest_staged_micros_ >=
-          options_.max_age_micros) {
-    (void)Flush();
-  }
+  return last_op_.find(key) != last_op_.end();
 }
 
 Status BatchWriter::Flush() {
   if (ops_.empty()) return Status::OK();
   std::vector<StagedOp> ops = std::move(ops_);
   ops_.clear();
-  put_index_.clear();
-  staged_kind_.clear();
+  last_op_.clear();
   ++flushes_;
   if (flushed_batches_ != nullptr) flushed_batches_->Add();
 
-  // Partition by kind, remembering where each op landed. Per-key ordering
-  // survives because staging never mixes kinds for one key.
-  std::vector<std::pair<std::string, std::string>> puts;
-  std::vector<size_t> put_src;
-  std::vector<std::pair<std::string, double>> dadds;
-  std::vector<size_t> dadd_src;
-  std::vector<std::pair<std::string, int64_t>> iadds;
-  std::vector<size_t> iadd_src;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    switch (ops[i].kind) {
-      case Kind::kPut:
-        puts.emplace_back(ops[i].key, std::move(ops[i].value));
-        put_src.push_back(i);
-        break;
-      case Kind::kIncrDouble:
-        dadds.emplace_back(ops[i].key, ops[i].ddelta);
-        dadd_src.push_back(i);
-        break;
-      case Kind::kIncrInt64:
-        iadds.emplace_back(ops[i].key, ops[i].idelta);
-        iadd_src.push_back(i);
-        break;
+  // One mixed-kind call in staging order; the ops borrow the staged bytes.
+  std::vector<WriteOp> writes;
+  writes.reserve(ops.size());
+  for (const StagedOp& op : ops) {
+    writes.push_back({0, op.kind, op.key, op.value, op.delta});
+  }
+  std::vector<WriteResult> results(ops.size());
+  Status overall;
+  {
+    // Staging detached these writes from the Executes that issued them;
+    // re-attach each sampled op by spanning this flush's store call under
+    // its staged trace id, so a sampled trace still reaches tdstore.write.
+    // Each ScopedSpan restores the trace context it replaced when it dies,
+    // so the nested spans must die innermost first: a front-to-back
+    // teardown would leave the thread stuck in the first op's trace, and
+    // every later store op on it would be spanned (and staged) under that
+    // trace.
+    std::vector<std::unique_ptr<ScopedSpan>> spans;
+    for (const StagedOp& op : ops) {
+      if (op.trace_id != 0) {
+        spans.push_back(
+            std::make_unique<ScopedSpan>(op.trace_id, "tdstore.write"));
+      }
     }
+    overall = client_->Write(writes, results);
+    while (!spans.empty()) spans.pop_back();
   }
 
   Status first_error;
-  auto note = [&first_error, this](const Status& s) {
-    if (s.ok()) return;
-    if (first_error.ok()) first_error = s;
-    if (last_error_.ok()) last_error_ = s;
-  };
-  // Staging detached these writes from the Executes that issued them;
-  // re-attach each sampled op by spanning this flush's store call under its
-  // staged trace id, so a sampled trace still reaches tdstore.write.
-  // Each ScopedSpan restores the trace context it replaced when it dies, so
-  // the nested spans must die innermost first: a front-to-back teardown
-  // would leave the thread stuck in the first op's trace, and every later
-  // store op on it would be spanned (and staged) under that trace.
-  struct SpanStack {
-    std::vector<std::unique_ptr<ScopedSpan>> spans;
-    SpanStack() = default;
-    SpanStack(const SpanStack&) = delete;
-    SpanStack& operator=(const SpanStack&) = delete;
-    ~SpanStack() {
-      while (!spans.empty()) spans.pop_back();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Status& s = overall.ok() ? results[i].status : overall;
+    if (!s.ok()) {
+      if (first_error.ok()) first_error = s;
+      if (last_error_.ok()) last_error_ = s;
     }
-  };
-  auto open_sampled_spans = [&ops](const std::vector<size_t>& src,
-                                   SpanStack* stack) {
-    for (size_t i : src) {
-      if (ops[i].trace_id != 0) {
-        stack->spans.push_back(
-            std::make_unique<ScopedSpan>(ops[i].trace_id, "tdstore.write"));
-      }
-    }
-  };
-
-  if (!puts.empty()) {
-    std::vector<Status> statuses;
-    Status overall;
-    {
-      SpanStack spans;
-      open_sampled_spans(put_src, &spans);
-      overall = client_->MultiPut(puts, &statuses);
-    }
-    for (size_t i = 0; i < put_src.size(); ++i) {
-      const Status& s = overall.ok() ? statuses[i] : overall;
-      note(s);
-      if (ops[put_src[i]].put_cb != nullptr) ops[put_src[i]].put_cb(s);
-    }
-  }
-  if (!dadds.empty()) {
-    std::vector<Result<double>> results;
-    Status overall;
-    {
-      SpanStack spans;
-      open_sampled_spans(dadd_src, &spans);
-      overall = client_->MultiIncrDouble(dadds, &results);
-    }
-    for (size_t i = 0; i < dadd_src.size(); ++i) {
-      Result<double> r = overall.ok() ? std::move(results[i])
-                                      : Result<double>(overall);
-      note(r.status());
-      if (ops[dadd_src[i]].incr_double_cb != nullptr) {
-        ops[dadd_src[i]].incr_double_cb(r);
-      }
-    }
-  }
-  if (!iadds.empty()) {
-    std::vector<Result<int64_t>> results;
-    Status overall;
-    {
-      SpanStack spans;
-      open_sampled_spans(iadd_src, &spans);
-      overall = client_->MultiIncrInt64(iadds, &results);
-    }
-    for (size_t i = 0; i < iadd_src.size(); ++i) {
-      Result<int64_t> r = overall.ok() ? std::move(results[i])
-                                       : Result<int64_t>(overall);
-      note(r.status());
-      if (ops[iadd_src[i]].incr_int64_cb != nullptr) {
-        ops[iadd_src[i]].incr_int64_cb(r);
-      }
+    if (ops[i].kind == WriteOp::Kind::kPut) {
+      if (ops[i].put_cb != nullptr) ops[i].put_cb(s);
+    } else if (ops[i].incr_cb != nullptr) {
+      ops[i].incr_cb(s.ok() ? Result<double>(results[i].value)
+                            : Result<double>(s));
     }
   }
   return first_error;

@@ -15,18 +15,20 @@
 namespace tencentrec::tdstore {
 
 /// Write-behind buffer in front of a Client. Callers stage puts and
-/// increments; the writer ships them as grouped Multi* calls when the buffer
-/// reaches `max_ops`, when the oldest staged op exceeds `max_age_micros`, or
-/// on an explicit Flush(). This turns the per-key write storm of the count
-/// and similarity bolts into a handful of per-host batches (the paper's
-/// "combine frequent operations" theme applied to the storage RPC layer).
+/// increments; the writer ships them as ONE grouped Client::Write call when
+/// the buffer reaches `max_ops` or on an explicit Flush(). This turns the
+/// per-key write storm of the count and similarity bolts into a handful of
+/// per-host batches (the paper's "combine frequent operations" theme
+/// applied to the storage RPC layer).
 ///
-/// Ordering guarantees: staged ops ship in staging order. Same-key puts
-/// coalesce (last value wins — a pure overwrite needs no history); same-key
-/// increments are NEVER coalesced, each is applied separately in order on
-/// the server, so flushing through the batch path yields bit-identical
-/// float state to issuing the same point ops (delta coalescing is the
-/// combiner's job, upstream of this layer).
+/// Ordering guarantees: every flush ships all staged ops, of every kind, in
+/// staging order. A put coalesces into an earlier staged put of the same
+/// key (last value wins — a pure overwrite needs no history) only when no
+/// other op on that key was staged after it. Increments are NEVER
+/// coalesced: each is applied separately in order on the server, so
+/// flushing through the batch path yields bit-identical float state to
+/// issuing the same point ops (delta coalescing is the combiner's job,
+/// upstream of this layer).
 ///
 /// Not thread-safe: one writer per bolt/shard, matching the
 /// single-writer-per-key field-grouping contract.
@@ -35,19 +37,16 @@ class BatchWriter {
   struct Options {
     /// Auto-flush when this many ops are staged.
     size_t max_ops = 256;
-    /// Auto-flush (on the next staging call) once the oldest staged op is
-    /// older than this. 0 disables age-based flushing.
-    int64_t max_age_micros = 0;
   };
 
   using PutCallback = std::function<void(const Status&)>;
   using IncrDoubleCallback = std::function<void(const Result<double>&)>;
-  using IncrInt64Callback = std::function<void(const Result<int64_t>&)>;
 
   BatchWriter(Client* client, Options options);
 
   /// Stages an overwrite. Coalesces with an earlier staged put of the same
-  /// key (both callbacks still fire, with the final op's status).
+  /// key when nothing else on the key was staged since (both callbacks
+  /// still fire, with the final op's status).
   void Put(std::string_view key, std::string_view value,
            PutCallback cb = nullptr);
   void PutDouble(std::string_view key, double value, PutCallback cb = nullptr);
@@ -56,8 +55,6 @@ class BatchWriter {
   /// once the batch ships.
   void IncrDouble(std::string_view key, double delta,
                   IncrDoubleCallback cb = nullptr);
-  void IncrInt64(std::string_view key, int64_t delta,
-                 IncrInt64Callback cb = nullptr);
 
   /// Ships everything staged. Returns the first per-op error (callbacks see
   /// every individual outcome). Idempotent when empty.
@@ -66,10 +63,10 @@ class BatchWriter {
   /// Ops currently staged.
   size_t pending() const { return ops_.size(); }
 
-  /// Value of the live staged put for `key`, or nullptr when none is
-  /// staged. Lets a write-behind cache serve read-your-writes even after
-  /// its copy of the key was evicted. The pointer is valid only until the
-  /// next staging call or Flush().
+  /// Value of the staged put for `key` when it is the newest op staged on
+  /// that key, else nullptr. Lets a write-behind cache serve
+  /// read-your-writes even after its copy of the key was evicted. The
+  /// pointer is valid only until the next staging call or Flush().
   const std::string* StagedPut(const std::string& key) const;
   /// True when ANY op (put or incr) is staged for `key`.
   bool HasStaged(const std::string& key) const;
@@ -84,37 +81,28 @@ class BatchWriter {
   int64_t flushes() const { return flushes_; }
 
  private:
-  enum class Kind { kPut, kIncrDouble, kIncrInt64 };
   struct StagedOp {
-    Kind kind;
+    WriteOp::Kind kind = WriteOp::Kind::kPut;
     std::string key;
     std::string value;  ///< kPut payload
-    double ddelta = 0.0;
-    int64_t idelta = 0;
+    double delta = 0.0;  ///< kIncrDouble addend
     /// Trace active when the op was staged (0 = unsampled). Flush re-opens
     /// a tdstore.write span under it so a sampled trace still reaches the
     /// store write even though the write ships later in a batch.
     uint64_t trace_id = 0;
     PutCallback put_cb;
-    IncrDoubleCallback incr_double_cb;
-    IncrInt64Callback incr_int64_cb;
+    IncrDoubleCallback incr_cb;
   };
 
-  /// Applies size/age policy after a staging call.
-  void MaybeAutoFlush();
-  /// Flushes first if `key` already has a staged op of a different kind —
-  /// partition-by-kind shipping is order-preserving only while each key's
-  /// staged ops are homogeneous.
-  void ResolveKindConflict(std::string_view key, Kind kind);
+  /// Appends `op` as the newest staged op on its key and applies the size
+  /// policy.
+  void Stage(StagedOp op);
 
   Client* client_;
   Options options_;  ///< sanitized copy (max_ops floors at 1)
   std::vector<StagedOp> ops_;
-  /// Kind staged for each key in ops_ (conflict detection); cleared on flush.
-  std::unordered_map<std::string, Kind> staged_kind_;
-  /// Index into ops_ of the live put per key (last-wins coalescing).
-  std::unordered_map<std::string, size_t> put_index_;
-  int64_t oldest_staged_micros_ = 0;
+  /// Index into ops_ of the newest staged op per key; cleared on flush.
+  std::unordered_map<std::string, size_t> last_op_;
   Status last_error_;
   int64_t flushes_ = 0;
   Counter* staged_ops_ = nullptr;

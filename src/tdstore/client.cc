@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <type_traits>
 
 #include "common/trace.h"
 
@@ -50,17 +51,26 @@ struct StatusResult {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 };
+
+/// Runs one op as a one-op Write; a whole-call failure becomes its status.
+WriteResult WriteOne(DataServer* host, const WriteOp& op) {
+  WriteResult r;
+  Status s = host->Write({&op, 1}, {&r, 1});
+  if (!s.ok()) r.status = std::move(s);
+  return r;
+}
+
 }  // namespace
 
 // Store ops run under the caller's tuple context (published by the bolt's
 // ScopedSpan), so sampled tuples get a nested store-side span with no
-// signature change here.
+// signature change here. Each point op is a one-op server call.
 Status Client::Put(std::string_view key, std::string_view value) {
   ScopedLatencyTimer timer(write_us_);
   ScopedSpan span(CurrentTraceId(), "tdstore.write");
   if (point_ops_ != nullptr) point_ops_->Add();
   auto r = WithHost(key, [&](DataServer* host, int instance) -> StatusResult {
-    return host->Put(instance, key, value);
+    return WriteOne(host, WriteOp::Put(key, value, instance)).status;
   });
   CountOp(r.status());
   return r.status();
@@ -72,7 +82,11 @@ Result<std::string> Client::Get(std::string_view key) {
   if (point_ops_ != nullptr) point_ops_->Add();
   auto r = WithHost(key,
                     [&](DataServer* host, int instance) -> Result<std::string> {
-                      return host->Get(instance, key);
+                      const ReadOp op{instance, key};
+                      Result<std::string> out(Status::Internal("unset"));
+                      Status s = host->MultiGet({&op, 1}, {&out, 1});
+                      if (!s.ok()) return s;
+                      return out;
                     });
   CountOp(r.status());
   return r;
@@ -83,7 +97,7 @@ Status Client::Delete(std::string_view key) {
   ScopedSpan span(CurrentTraceId(), "tdstore.write");
   if (point_ops_ != nullptr) point_ops_->Add();
   auto r = WithHost(key, [&](DataServer* host, int instance) -> StatusResult {
-    return host->Delete(instance, key);
+    return WriteOne(host, WriteOp::Delete(key, instance)).status;
   });
   CountOp(r.status());
   return r.status();
@@ -94,7 +108,9 @@ Result<double> Client::IncrDouble(std::string_view key, double delta) {
   ScopedSpan span(CurrentTraceId(), "tdstore.write");
   if (point_ops_ != nullptr) point_ops_->Add();
   auto r = WithHost(key, [&](DataServer* host, int instance) -> Result<double> {
-    return host->IncrDouble(instance, key, delta);
+    WriteResult w = WriteOne(host, WriteOp::IncrDouble(key, delta, instance));
+    if (!w.status.ok()) return w.status;
+    return w.value;
   });
   CountOp(r.status());
   return r;
@@ -106,7 +122,10 @@ Result<int64_t> Client::IncrInt64(std::string_view key, int64_t delta) {
   if (point_ops_ != nullptr) point_ops_->Add();
   auto r =
       WithHost(key, [&](DataServer* host, int instance) -> Result<int64_t> {
-        return host->IncrInt64(instance, key, delta);
+        WriteResult w =
+            WriteOne(host, WriteOp::IncrInt64(key, delta, instance));
+        if (!w.status.ok()) return w.status;
+        return w.int_value;
       });
   CountOp(r.status());
   return r;
@@ -131,19 +150,28 @@ Result<int64_t> Client::GetInt64(std::string_view key, int64_t fallback) {
 }
 
 namespace {
-// GroupedDispatch stitches per-item outcomes of heterogeneous shape (Status
-// for puts, Result<T> otherwise); these give it a uniform status view.
-inline const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-const Status& StatusOf(const Result<T>& r) {
-  return r.status();
+// GroupedDispatch stitches per-op outcomes of two shapes (WriteResult for
+// writes, Result<std::string> for reads); these give it a uniform view.
+const Status& StatusOf(const WriteResult& r) { return r.status; }
+const Status& StatusOf(const Result<std::string>& r) { return r.status(); }
+void SetStatus(WriteResult& r, const Status& s) { r.status = s; }
+void SetStatus(Result<std::string>& r, const Status& s) { r = s; }
+/// Placeholder for a slot no server has answered yet.
+template <typename Out>
+Out Unset() {
+  if constexpr (std::is_same_v<Out, WriteResult>) {
+    return WriteResult{Status::Internal("unset")};
+  } else {
+    return Out(Status::Internal("unset"));
+  }
 }
 }  // namespace
 
-template <typename KeyOf, typename MakeItem, typename Dispatch, typename OutT>
-Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
-                               Dispatch dispatch, std::vector<OutT>* out) {
+template <typename Op, typename Out, typename Dispatch>
+Status Client::GroupedDispatch(std::span<const Op> ops, std::span<Out> out,
+                               Dispatch dispatch) {
   TR_RETURN_IF_ERROR(EnsureRoute());
+  const size_t n = ops.size();
   if (batch_ops_ != nullptr) batch_ops_->Add();
   if (batch_keys_ != nullptr) batch_keys_->Add(n);
   std::vector<size_t> pending(n);
@@ -157,7 +185,7 @@ Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
     // increment guarantee rides on this).
     std::map<int, std::vector<std::pair<int, size_t>>> by_host;
     for (size_t idx : pending) {
-      const size_t slot = HashString(key_of(idx)) % route_.placements.size();
+      const size_t slot = HashString(ops[idx].key) % route_.placements.size();
       const InstancePlacement& p = route_.placements[slot];
       by_host[p.host_server].emplace_back(p.instance_id, idx);
     }
@@ -168,28 +196,31 @@ Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
           [](const auto& a, const auto& b) { return a.first < b.first; });
       DataServer* host = cluster_->data_server(host_id);
       if (host == nullptr) return Status::Internal("route names bad server");
-      using Item = decltype(make_item(size_t{0}, 0));
-      std::vector<Item> items;
+      // Ops borrow the caller's key/value bytes, so re-addressing one to its
+      // instance copies no payload.
+      std::vector<Op> items;
       items.reserve(entries.size());
       for (const auto& [instance_id, idx] : entries) {
-        items.push_back(make_item(idx, instance_id));
+        items.push_back(ops[idx]);
+        items.back().instance_id = instance_id;
       }
       if (host_batches_ != nullptr) host_batches_->Add();
-      std::vector<OutT> batch_out;
-      Status s = dispatch(host, items, &batch_out);
+      std::vector<Out> batch_out(entries.size(), Unset<Out>());
+      Status s = dispatch(host, std::span<const Op>(items),
+                          std::span<Out>(batch_out));
       if (!s.ok()) {
         // Whole-server failure (down): every item of this sub-batch gets the
         // verdict, and — if retryable — a spot in the next attempt.
         for (const auto& [instance_id, idx] : entries) {
-          (*out)[idx] = OutT(s);
+          SetStatus(out[idx], s);
           if (s.IsUnavailable() && attempt == 0) failed.push_back(idx);
         }
         continue;
       }
       for (size_t i = 0; i < entries.size(); ++i) {
         const size_t idx = entries[i].second;
-        (*out)[idx] = std::move(batch_out[i]);
-        if (StatusOf((*out)[idx]).IsUnavailable() && attempt == 0) {
+        out[idx] = std::move(batch_out[i]);
+        if (StatusOf(out[idx]).IsUnavailable() && attempt == 0) {
           failed.push_back(idx);
         }
       }
@@ -199,7 +230,7 @@ Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
   }
   // Final per-key verdicts feed the error-rate instruments once, after
   // retries have had their say.
-  for (const OutT& o : *out) CountOp(StatusOf(o));
+  for (const Out& o : out) CountOp(StatusOf(o));
   return Status::OK();
 }
 
@@ -207,75 +238,26 @@ Status Client::MultiGetBatch(const std::vector<std::string>& keys,
                              std::vector<Result<std::string>>* out) {
   ScopedLatencyTimer timer(batch_read_us_);
   ScopedSpan span(CurrentTraceId(), "tdstore.batch_read");
-  out->assign(keys.size(), Result<std::string>(Status::Internal("unset")));
+  out->assign(keys.size(), Unset<Result<std::string>>());
+  std::vector<ReadOp> ops(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) ops[i].key = keys[i];
   return GroupedDispatch(
-      keys.size(),
-      [&](size_t i) -> std::string_view { return keys[i]; },
-      [&](size_t i, int instance_id) {
-        return BatchGet{instance_id, keys[i]};
-      },
-      [](DataServer* host, const std::vector<BatchGet>& items,
-         std::vector<Result<std::string>>* batch_out) {
+      std::span<const ReadOp>(ops), std::span<Result<std::string>>(*out),
+      [](DataServer* host, std::span<const ReadOp> items,
+         std::span<Result<std::string>> batch_out) {
         return host->MultiGet(items, batch_out);
-      },
-      out);
+      });
 }
 
-Status Client::MultiPut(
-    const std::vector<std::pair<std::string, std::string>>& kvs,
-    std::vector<Status>* out) {
+Status Client::Write(std::span<const WriteOp> ops,
+                     std::span<WriteResult> out) {
   ScopedLatencyTimer timer(batch_write_us_);
   ScopedSpan span(CurrentTraceId(), "tdstore.batch_write");
-  out->assign(kvs.size(), Status::Internal("unset"));
-  return GroupedDispatch(
-      kvs.size(),
-      [&](size_t i) -> std::string_view { return kvs[i].first; },
-      [&](size_t i, int instance_id) {
-        return BatchPut{instance_id, kvs[i].first, kvs[i].second};
-      },
-      [](DataServer* host, const std::vector<BatchPut>& items,
-         std::vector<Status>* batch_out) {
-        return host->MultiPut(items, batch_out);
-      },
-      out);
-}
-
-Status Client::MultiIncrDouble(
-    const std::vector<std::pair<std::string, double>>& adds,
-    std::vector<Result<double>>* out) {
-  ScopedLatencyTimer timer(batch_write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.batch_write");
-  out->assign(adds.size(), Result<double>(Status::Internal("unset")));
-  return GroupedDispatch(
-      adds.size(),
-      [&](size_t i) -> std::string_view { return adds[i].first; },
-      [&](size_t i, int instance_id) {
-        return BatchIncrDouble{instance_id, adds[i].first, adds[i].second};
-      },
-      [](DataServer* host, const std::vector<BatchIncrDouble>& items,
-         std::vector<Result<double>>* batch_out) {
-        return host->MultiIncrDouble(items, batch_out);
-      },
-      out);
-}
-
-Status Client::MultiIncrInt64(
-    const std::vector<std::pair<std::string, int64_t>>& adds,
-    std::vector<Result<int64_t>>* out) {
-  ScopedLatencyTimer timer(batch_write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.batch_write");
-  out->assign(adds.size(), Result<int64_t>(Status::Internal("unset")));
-  return GroupedDispatch(
-      adds.size(),
-      [&](size_t i) -> std::string_view { return adds[i].first; },
-      [&](size_t i, int instance_id) {
-        return BatchIncrInt64{instance_id, adds[i].first, adds[i].second};
-      },
-      [](DataServer* host, const std::vector<BatchIncrInt64>& items,
-         std::vector<Result<int64_t>>* batch_out) {
-        return host->MultiIncrInt64(items, batch_out);
-      },
-      out);
+  return GroupedDispatch(ops, out,
+                         [](DataServer* host, std::span<const WriteOp> items,
+                            std::span<WriteResult> batch_out) {
+                           return host->Write(items, batch_out);
+                         });
 }
 
 Status Client::MultiGetDouble(const std::vector<std::string>& keys,

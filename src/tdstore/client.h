@@ -1,6 +1,7 @@
 #ifndef TENCENTREC_TDSTORE_CLIENT_H_
 #define TENCENTREC_TDSTORE_CLIENT_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,13 +72,10 @@ class Client {
   /// sequence.
   Status MultiGetBatch(const std::vector<std::string>& keys,
                        std::vector<Result<std::string>>* out);
-  Status MultiPut(const std::vector<std::pair<std::string, std::string>>& kvs,
-                  std::vector<Status>* out);
-  Status MultiIncrDouble(const std::vector<std::pair<std::string, double>>& adds,
-                         std::vector<Result<double>>* out);
-  Status MultiIncrInt64(
-      const std::vector<std::pair<std::string, int64_t>>& adds,
-      std::vector<Result<int64_t>>* out);
+  /// Ships a mixed-kind write batch (puts, deletes and increments in any
+  /// order). Each op's `instance_id` is ignored: the client routes by key.
+  /// `out` must be as long as `ops`.
+  Status Write(std::span<const WriteOp> ops, std::span<WriteResult> out);
   /// Batched GetDouble: missing keys decode as `fallback`.
   Status MultiGetDouble(const std::vector<std::string>& keys, double fallback,
                         std::vector<Result<double>>* out);
@@ -97,14 +95,13 @@ class Client {
   /// and retrying once if the host is unavailable.
   template <typename Op>
   auto WithHost(std::string_view key, Op op) -> decltype(op(nullptr, 0));
-  /// Shared grouped-dispatch skeleton behind the Multi* ops; see their
-  /// contract above. `key_of(i)` names input i for routing, `make_item(i,
-  /// instance_id)` builds the server-side batch item, `dispatch(host, items,
-  /// batch_out)` performs one host call.
-  template <typename KeyOf, typename MakeItem, typename Dispatch,
-            typename OutT>
-  Status GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
-                         Dispatch dispatch, std::vector<OutT>* out);
+  /// Shared grouped-dispatch skeleton behind MultiGetBatch and Write; see
+  /// their contract above. `ops[i]` is routed by its key and re-addressed to
+  /// the owning instance; `dispatch(host, items, batch_out)` performs one
+  /// host call.
+  template <typename Op, typename Out, typename Dispatch>
+  Status GroupedDispatch(std::span<const Op> ops, std::span<Out> out,
+                         Dispatch dispatch);
 
   Cluster* cluster_;
   RouteTable route_;
@@ -124,7 +121,7 @@ class Client {
   }
 
   Counter* point_ops_ = nullptr;
-  Counter* batch_ops_ = nullptr;    ///< logical Multi* calls
+  Counter* batch_ops_ = nullptr;    ///< logical MultiGetBatch/Write calls
   Counter* batch_keys_ = nullptr;   ///< items carried by those calls
   Counter* host_batches_ = nullptr; ///< per-host server calls dispatched
   Counter* ops_ = nullptr;          ///< key-level operations completed

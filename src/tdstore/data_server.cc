@@ -1,6 +1,7 @@
 #include "tdstore/data_server.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/metrics.h"
 #include "tdstore/codec.h"
@@ -92,352 +93,150 @@ void DataServer::ReplicateLocked(Instance* inst, int instance_id,
   }
 }
 
-Status DataServer::Put(int instance_id, std::string_view key,
-                       std::string_view value) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  if (wal_ != nullptr) {
-    const WalOpView op{false, key, value};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  TR_RETURN_IF_ERROR(inst->engine->Put(key, value));
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::string(value), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return Status::OK();
-}
-
-Result<std::string> DataServer::Get(int instance_id,
-                                    std::string_view key) const {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  {
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) return Status::Unavailable("not the host replica");
-  }
-  return inst->engine->Get(key);
-}
-
-Status DataServer::Delete(int instance_id, std::string_view key) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  if (wal_ != nullptr) {
-    const WalOpView op{true, key, {}};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  TR_RETURN_IF_ERROR(inst->engine->Delete(key));
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::string(), true});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return Status::OK();
-}
-
 namespace {
 
-/// Read-modify-write of one 8-byte double counter. Caller holds the
-/// instance lock. On success writes the encoded new value into `*encoded`.
-Result<double> IncrDoubleLocked(Engine* engine, std::string_view key,
-                                double delta, std::string* encoded) {
-  double current = 0.0;
+/// Read-modify-write of one 8-byte counter (missing key = 0). Caller holds
+/// the instance lock. On success `*encoded` holds the encoded new value and
+/// `*next` the decoded one.
+template <typename T>
+Status IncrLocked(Engine* engine, std::string_view key, T delta,
+                  std::string* encoded, T* next) {
+  T current = 0;
   auto existing = engine->Get(key);
   if (existing.ok()) {
-    auto decoded = DecodeDouble(*existing);
+    Result<T> decoded = [&] {
+      if constexpr (std::is_same_v<T, double>) {
+        return DecodeDouble(*existing);
+      } else {
+        return DecodeInt64(*existing);
+      }
+    }();
     if (!decoded.ok()) return decoded.status();
     current = *decoded;
   } else if (!existing.status().IsNotFound()) {
     return existing.status();
   }
-  double next = current + delta;
-  EncodeDoubleTo(encoded, next);
-  TR_RETURN_IF_ERROR(engine->Put(key, *encoded));
-  return next;
+  *next = current + delta;
+  if constexpr (std::is_same_v<T, double>) {
+    EncodeDoubleTo(encoded, *next);
+  } else {
+    EncodeInt64To(encoded, *next);
+  }
+  return engine->Put(key, *encoded);
 }
 
-Result<int64_t> IncrInt64Locked(Engine* engine, std::string_view key,
-                                int64_t delta, std::string* encoded) {
-  int64_t current = 0;
-  auto existing = engine->Get(key);
-  if (existing.ok()) {
-    auto decoded = DecodeInt64(*existing);
-    if (!decoded.ok()) return decoded.status();
-    current = *decoded;
-  } else if (!existing.status().IsNotFound()) {
-    return existing.status();
-  }
-  int64_t next = current + delta;
-  EncodeInt64To(encoded, next);
-  TR_RETURN_IF_ERROR(engine->Put(key, *encoded));
-  return next;
-}
+void SetStatus(WriteResult& out, const Status& s) { out.status = s; }
+void SetStatus(Result<std::string>& out, const Status& s) { out = s; }
 
 }  // namespace
 
-Result<double> DataServer::IncrDouble(int instance_id, std::string_view key,
-                                      double delta) {
+template <typename Op, typename Out, typename ApplyRun>
+Status DataServer::ForEachRun(std::span<const Op> ops, std::span<Out> out,
+                              ApplyRun apply_run) const {
   if (down_.load()) return Status::Unavailable("data server down");
   invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  std::string encoded;
-  Result<double> next = IncrDoubleLocked(inst->engine.get(), key, delta,
-                                         &encoded);
-  if (!next.ok()) return next;
-  if (wal_ != nullptr) {
-    // Logged as the encoded post-increment value (same shape replication
-    // ships), so replay is an idempotent overwrite, never a re-add.
-    const WalOpView op{false, key, encoded};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::move(encoded), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return next;
-}
-
-Result<int64_t> DataServer::IncrInt64(int instance_id, std::string_view key,
-                                      int64_t delta) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  std::string encoded;
-  Result<int64_t> next = IncrInt64Locked(inst->engine.get(), key, delta,
-                                         &encoded);
-  if (!next.ok()) return next;
-  if (wal_ != nullptr) {
-    const WalOpView op{false, key, encoded};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::move(encoded), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return next;
-}
-
-Status DataServer::MultiGet(const std::vector<BatchGet>& items,
-                            std::vector<Result<std::string>>* out) const {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Result<std::string>(Status::Internal("unset")));
   size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
+  while (i < ops.size()) {
+    const int instance_id = ops[i].instance_id;
+    size_t j = i + 1;
+    while (j < ops.size() && ops[j].instance_id == instance_id) ++j;
+    Instance* inst = FindInstance(instance_id);
     if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
+      const Status s =
+          Status::NotFound("no instance " + std::to_string(instance_id));
+      for (size_t k = i; k < j; ++k) SetStatus(out[k], s);
       i = j;
       continue;
     }
     std::lock_guard lock(inst->mu);
     if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    for (size_t k = i; k < j; ++k) {
-      reads_.fetch_add(1, std::memory_order_relaxed);
-      (*out)[k] = inst->engine->Get(items[k].key);
+      const Status s = Status::Unavailable("not the host replica");
+      for (size_t k = i; k < j; ++k) SetStatus(out[k], s);
+    } else {
+      TR_RETURN_IF_ERROR(apply_run(inst, i, j));
     }
     i = j;
   }
   return Status::OK();
 }
 
-Status DataServer::MultiPut(const std::vector<BatchPut>& items,
-                            std::vector<Status>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Status::Internal("unset"));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
+Status DataServer::Write(std::span<const WriteOp> ops,
+                         std::span<WriteResult> out) {
+  return ForEachRun(ops, out, [&](Instance* inst, size_t begin, size_t end) {
+    const int instance_id = ops[begin].instance_id;
+    const bool log = wal_ != nullptr;
     ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    if (wal_ != nullptr) wal_ops.reserve(j - i);
-    for (size_t k = i; k < j; ++k) {
+    std::vector<WalOpView>& wal_ops = inst->wal_ops;
+    std::string& incr_bytes = inst->wal_incr_bytes;
+    // Reserved for the whole run so appends never move the bytes under
+    // earlier views.
+    if (log) incr_bytes.reserve(sizeof(int64_t) * (end - begin));
+    std::string encoded;
+    for (size_t k = begin; k < end; ++k) {
+      const WriteOp& op = ops[k];
+      WriteResult& r = out[k];
       writes_.fetch_add(1, std::memory_order_relaxed);
-      Status s = inst->engine->Put(items[k].key, items[k].value);
-      (*out)[k] = s;
-      if (s.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, items[k].value, false});
+      const bool is_delete = op.kind == WriteOp::Kind::kDelete;
+      const bool is_incr = op.kind == WriteOp::Kind::kIncrDouble ||
+                           op.kind == WriteOp::Kind::kIncrInt64;
+      // Increments log and replicate the absolute post-increment value, so
+      // replay and slave apply are idempotent overwrites, never re-adds.
+      std::string_view applied;
+      switch (op.kind) {
+        case WriteOp::Kind::kPut:
+          r.status = inst->engine->Put(op.key, op.value);
+          applied = op.value;
+          break;
+        case WriteOp::Kind::kDelete:
+          r.status = inst->engine->Delete(op.key);
+          break;
+        case WriteOp::Kind::kIncrDouble:
+          r.status = IncrLocked(inst->engine.get(), op.key, op.delta,
+                                &encoded, &r.value);
+          applied = encoded;
+          break;
+        case WriteOp::Kind::kIncrInt64:
+          r.status = IncrLocked(inst->engine.get(), op.key, op.int_delta,
+                                &encoded, &r.int_value);
+          applied = encoded;
+          break;
       }
-      if (s.ok() && wal_ != nullptr) {
-        wal_ops.push_back({false, items[k].key, items[k].value});
+      if (!r.status.ok()) continue;
+      if (inst->slave != nullptr) {
+        rec.ops.push_back(
+            {std::string(op.key), std::string(applied), is_delete});
+      }
+      if (log) {
+        if (is_incr) {
+          incr_bytes.append(encoded);
+          applied = std::string_view(incr_bytes).substr(
+              incr_bytes.size() - encoded.size());
+        }
+        wal_ops.push_back({is_delete, op.key, applied});
       }
     }
     // The whole run is one atomic WAL record: recovery replays all of it or
     // (past the commit barrier) none of it.
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
+    Status logged =
+        WalAppendLocked(instance_id, wal_ops.data(), wal_ops.size());
+    wal_ops.clear();  // its views borrow the caller's buffers
+    incr_bytes.clear();
+    TR_RETURN_IF_ERROR(logged);
+    ReplicateLocked(inst, instance_id, std::move(rec));
+    return Status::OK();
+  });
 }
 
-Status DataServer::MultiIncrDouble(const std::vector<BatchIncrDouble>& items,
-                                   std::vector<Result<double>>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Result<double>(Status::Internal("unset")));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
+Status DataServer::MultiGet(std::span<const ReadOp> ops,
+                            std::span<Result<std::string>> out) const {
+  return ForEachRun(ops, out, [&](Instance* inst, size_t begin, size_t end) {
+    reads_.fetch_add(static_cast<int64_t>(end - begin),
+                     std::memory_order_relaxed);
+    for (size_t k = begin; k < end; ++k) {
+      out[k] = inst->engine->Get(ops[k].key);
     }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    // Reserved upfront so views into wal_vals stay stable across push_back.
-    std::vector<std::string> wal_vals;
-    if (wal_ != nullptr) {
-      wal_ops.reserve(j - i);
-      wal_vals.reserve(j - i);
-    }
-    std::string encoded;
-    for (size_t k = i; k < j; ++k) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      Result<double> r = IncrDoubleLocked(inst->engine.get(), items[k].key,
-                                          items[k].delta, &encoded);
-      if (r.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, encoded, false});
-      }
-      if (r.ok() && wal_ != nullptr) {
-        wal_vals.push_back(encoded);
-        wal_ops.push_back({false, items[k].key, wal_vals.back()});
-      }
-      (*out)[k] = std::move(r);
-    }
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
-}
-
-Status DataServer::MultiIncrInt64(const std::vector<BatchIncrInt64>& items,
-                                  std::vector<Result<int64_t>>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Result<int64_t>(Status::Internal("unset")));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    // Reserved upfront so views into wal_vals stay stable across push_back.
-    std::vector<std::string> wal_vals;
-    if (wal_ != nullptr) {
-      wal_ops.reserve(j - i);
-      wal_vals.reserve(j - i);
-    }
-    std::string encoded;
-    for (size_t k = i; k < j; ++k) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      Result<int64_t> r = IncrInt64Locked(inst->engine.get(), items[k].key,
-                                          items[k].delta, &encoded);
-      if (r.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, encoded, false});
-      }
-      if (r.ok() && wal_ != nullptr) {
-        wal_vals.push_back(encoded);
-        wal_ops.push_back({false, items[k].key, wal_vals.back()});
-      }
-      (*out)[k] = std::move(r);
-    }
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status DataServer::ScanPrefix(
@@ -486,21 +285,9 @@ size_t DataServer::PendingReplication() const {
   size_t n = 0;
   for (const auto& [id, inst] : instances_) {
     std::lock_guard ilock(inst->mu);
-    for (const auto& rec : inst->pending) n += rec.ops.size();
+    n += inst->pending.size();
   }
   return n;
-}
-
-Status DataServer::ApplyReplicated(int instance_id, const ReplicationOp& op) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  // Slaves apply verbatim and never cascade.
-  if (op.is_delete) return inst->engine->Delete(op.key);
-  return inst->engine->Put(op.key, op.value);
 }
 
 Status DataServer::ApplyReplicatedRecord(int instance_id,
@@ -540,17 +327,24 @@ Status DataServer::CopyInstanceTo(int instance_id, DataServer* target) const {
   if (inst == nullptr) {
     return Status::NotFound("no instance " + std::to_string(instance_id));
   }
+  // Bounded all-put records: each takes the target engine's MultiPut fast
+  // path without materializing the whole instance at once.
+  constexpr size_t kCopyChunkOps = 256;
+  ReplicationRecord chunk;
+  chunk.ops.reserve(kCopyChunkOps);
   Status status = Status::OK();
   Status scan = inst->engine->ScanPrefix(
       "", [&](std::string_view key, std::string_view value) {
-        ReplicationOp op;
-        op.key = std::string(key);
-        op.value = std::string(value);
-        status = target->ApplyReplicated(instance_id, op);
+        chunk.ops.push_back({std::string(key), std::string(value), false});
+        if (chunk.ops.size() < kCopyChunkOps) return true;
+        status = target->ApplyReplicatedRecord(instance_id, chunk);
+        chunk.ops.clear();
         return status.ok();
       });
   TR_RETURN_IF_ERROR(scan);
-  return status;
+  TR_RETURN_IF_ERROR(status);
+  if (chunk.ops.empty()) return Status::OK();
+  return target->ApplyReplicatedRecord(instance_id, chunk);
 }
 
 size_t DataServer::TotalKeys() const {

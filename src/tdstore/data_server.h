@@ -6,7 +6,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/profiled_mutex.h"
@@ -25,35 +27,56 @@ struct ReplicationOp {
   bool is_delete = false;
 };
 
-/// A group of ops shipped host→slave as one unit. Point ops produce one-op
-/// records; batch entry points ship the whole per-instance run as a single
-/// record, so replication cost scales with batches, not keys.
+/// A group of ops shipped host→slave as one unit: each per-instance run of
+/// a Write call ships as a single record, so replication cost scales with
+/// runs, not keys.
 struct ReplicationRecord {
   std::vector<ReplicationOp> ops;
 };
 
-/// Per-item inputs for the batch entry points. `instance_id` is carried per
-/// item so one server call can span every instance this server hosts; the
-/// caller is expected to sort items so same-instance ops are contiguous
-/// (each contiguous run is applied under one lock acquisition).
-struct BatchGet {
+/// One client-facing mutation. `instance_id` is carried per op so one
+/// server call can span every instance this server hosts; callers sort ops
+/// so same-instance ops are contiguous (each contiguous run is applied
+/// under one lock acquisition). Key and value are borrowed: the caller's
+/// buffers must outlive the Write call only.
+struct WriteOp {
+  enum class Kind : uint8_t { kPut, kDelete, kIncrDouble, kIncrInt64 };
   int instance_id = 0;
-  std::string key;
+  Kind kind = Kind::kPut;
+  std::string_view key;
+  std::string_view value;  ///< kPut payload
+  double delta = 0.0;      ///< kIncrDouble addend (missing key = 0)
+  int64_t int_delta = 0;   ///< kIncrInt64 addend (missing key = 0)
+
+  static WriteOp Put(std::string_view key, std::string_view value,
+                     int instance_id = 0) {
+    return {instance_id, Kind::kPut, key, value};
+  }
+  static WriteOp Delete(std::string_view key, int instance_id = 0) {
+    return {instance_id, Kind::kDelete, key, {}};
+  }
+  static WriteOp IncrDouble(std::string_view key, double delta,
+                            int instance_id = 0) {
+    return {instance_id, Kind::kIncrDouble, key, {}, delta};
+  }
+  static WriteOp IncrInt64(std::string_view key, int64_t delta,
+                           int instance_id = 0) {
+    return {instance_id, Kind::kIncrInt64, key, {}, 0.0, delta};
+  }
 };
-struct BatchPut {
-  int instance_id = 0;
-  std::string key;
-  std::string value;
+
+/// Outcome of one WriteOp; an increment also returns its post-increment
+/// value.
+struct WriteResult {
+  Status status;
+  double value = 0.0;     ///< kIncrDouble result
+  int64_t int_value = 0;  ///< kIncrInt64 result
 };
-struct BatchIncrDouble {
+
+/// One client-facing read; the key is borrowed like WriteOp's.
+struct ReadOp {
   int instance_id = 0;
-  std::string key;
-  double delta = 0.0;
-};
-struct BatchIncrInt64 {
-  int instance_id = 0;
-  std::string key;
-  int64_t delta = 0;
+  std::string_view key;
 };
 
 /// A TDStore data server hosting multiple data instances (shards). Backup is
@@ -81,7 +104,7 @@ class DataServer {
   /// operations are only served in the host role — "only the host data
   /// server provides service for a certain data instance" (§3.3); a stale
   /// client hitting a demoted replica gets Unavailable and refreshes its
-  /// route table. Replication traffic (ApplyReplicated) is exempt.
+  /// route table. Replication traffic (ApplyReplicatedRecord) is exempt.
   Status SetHostRole(int instance_id, bool is_host);
 
   /// Wipes all data of a local instance (admin path used when re-seeding a
@@ -98,63 +121,49 @@ class DataServer {
   /// hosts nor serve client traffic.
   void ClearAllSlaves();
 
-  Status Put(int instance_id, std::string_view key, std::string_view value);
-  Result<std::string> Get(int instance_id, std::string_view key) const;
-  Status Delete(int instance_id, std::string_view key);
-
-  /// Atomic add on an 8-byte double value (missing key = 0). Returns the new
-  /// value. Single-writer-per-key is the common case (field grouping), but
-  /// the per-instance lock makes this safe regardless.
-  Result<double> IncrDouble(int instance_id, std::string_view key,
-                            double delta);
-  /// Atomic add on an 8-byte int64 value (missing key = 0).
-  Result<int64_t> IncrInt64(int instance_id, std::string_view key,
-                            int64_t delta);
+  /// The two client-facing entry points (plus ScanPrefix). Each call counts
+  /// as ONE server invocation no matter how many ops it carries — a point op
+  /// is a one-op call — while reads()/writes() count per op. Each contiguous
+  /// same-instance run is applied under one lock acquisition, strictly in
+  /// input order, so same-key increments produce bit-identical values to
+  /// issuing them one call at a time. A write run applies, then appends ONE
+  /// WAL record, then ships ONE replication record, all under the instance
+  /// lock; a read run reads the engine under the lock, so it never sees half
+  /// of a concurrent write run. `out` must be
+  /// as long as `ops` and gets one entry per op (aligned by index). The
+  /// overall Status is non-OK only when the whole server is down or a WAL
+  /// append fails (then `out` is incomplete) — per-op failures (wrong host,
+  /// missing instance, engine errors) land in `out` without aborting the
+  /// rest of the call.
+  Status Write(std::span<const WriteOp> ops, std::span<WriteResult> out);
+  Status MultiGet(std::span<const ReadOp> ops,
+                  std::span<Result<std::string>> out) const;
 
   Status ScanPrefix(int instance_id, std::string_view prefix,
                     const std::function<bool(std::string_view,
                                              std::string_view)>& visitor) const;
 
-  /// Batch entry points. Each call counts as ONE server invocation no matter
-  /// how many items it carries; contiguous same-instance item runs are
-  /// applied under a single lock acquisition and replicated as one record.
-  /// Items are processed strictly in input order, so same-key increments in
-  /// one batch produce bit-identical values to the equivalent point-op
-  /// sequence. `out` gets one entry per item (aligned by index). The overall
-  /// Status is non-OK only when the whole server is down — per-item failures
-  /// (wrong host, missing instance, engine errors) land in `out` without
-  /// aborting the rest of the batch.
-  Status MultiGet(const std::vector<BatchGet>& items,
-                  std::vector<Result<std::string>>* out) const;
-  Status MultiPut(const std::vector<BatchPut>& items,
-                  std::vector<Status>* out);
-  Status MultiIncrDouble(const std::vector<BatchIncrDouble>& items,
-                         std::vector<Result<double>>* out);
-  Status MultiIncrInt64(const std::vector<BatchIncrInt64>& items,
-                        std::vector<Result<int64_t>>* out);
-
   /// Drains pending replication ops for all hosted instances.
   Status FlushReplication();
 
-  /// Number of pending (not yet replicated) ops across instances.
+  /// Number of pending (not yet replicated) records across instances: one
+  /// per write run.
   size_t PendingReplication() const;
-
-  /// Applies a replicated op coming from a host server.
-  Status ApplyReplicated(int instance_id, const ReplicationOp& op);
 
   /// Applies a batched replication record coming from a host server. An
   /// all-put record goes through the engine's MultiPut fast path.
   Status ApplyReplicatedRecord(int instance_id, const ReplicationRecord& rec);
 
   /// Copies the full content of `instance_id` into `target` (used to
-  /// re-seed a replacement slave after failover/recovery).
+  /// re-seed a replacement slave after failover/recovery), shipped as
+  /// bounded all-put replication records.
   Status CopyInstanceTo(int instance_id, DataServer* target) const;
 
   /// --- durable state (DESIGN.md §14) ---
 
   /// Opens this server's WAL at `dir`/server<id>.wal and arms WAL logging:
-  /// from here on every host-side mutating op is appended (a Multi* run as
-  /// one atomic record) in the same critical section that applies it. Call
+  /// from here on every host-side write run is appended as one atomic record
+  /// in the same critical section that applies it. Call
   /// before any traffic; existing records wait in the WAL for
   /// RecoverDurable().
   Status EnableDurability(const std::string& dir, const Wal::Options& options);
@@ -197,12 +206,12 @@ class DataServer {
   /// Total keys across hosted instances.
   size_t TotalKeys() const;
 
-  /// Operation counters (reads = Get, writes = Put/Delete/Incr/replicated).
+  /// Operation counters, per op (reads = MultiGet ops, writes = Write ops).
   /// The combiner and cache ablation benches measure load with these.
   int64_t reads() const { return reads_.load(); }
   int64_t writes() const { return writes_.load(); }
-  /// Client-facing entry calls: each point op and each Multi* batch counts
-  /// once, regardless of how many items the batch carries. The micro_store
+  /// Client-facing entry calls: each Write/MultiGet/ScanPrefix call counts
+  /// once, regardless of how many ops it carries. The micro_store
   /// bench asserts its ops-per-action reduction against this.
   int64_t invocations() const { return invocations_.load(); }
   void ResetCounters() {
@@ -217,14 +226,28 @@ class DataServer {
     bool is_host = false;
     DataServer* slave = nullptr;
     std::deque<ReplicationRecord> pending;
-    /// Serializes read-modify-write (Incr) and the replication queue.
-    /// Profiled (DESIGN.md §13): each Multi* batch holds it for the whole
-    /// run, so this is where write-side lock time concentrates — the
+    /// A write run's WAL record under construction and the encoded
+    /// post-increment values its views point into. Reused under `mu`, so a
+    /// run (a point op included) allocates nothing here once warm.
+    std::vector<WalOpView> wal_ops;
+    std::string wal_incr_bytes;
+    /// Serializes runs: read-modify-write increments, the WAL order and the
+    /// replication queue, and keeps reads out of half-applied write runs.
+    /// Profiled (DESIGN.md §13): each Write/MultiGet run holds it for the
+    /// whole run, so this is where write-side lock time concentrates — the
     /// BatchWriter itself is single-owner and lock-free by contract.
     mutable ProfiledMutex mu{"tdstore.instance"};
   };
 
   Instance* FindInstance(int instance_id) const;
+  /// The one request skeleton behind Write and MultiGet: down check, one
+  /// invocation, then for each contiguous same-instance run of `ops`:
+  /// FindInstance, instance lock, host check, and `apply_run(inst, begin,
+  /// end)` under the lock. A run that fails before apply gets that status
+  /// in every `out` slot. Stops at the first non-OK `apply_run` status.
+  template <typename Op, typename Out, typename ApplyRun>
+  Status ForEachRun(std::span<const Op> ops, std::span<Out> out,
+                    ApplyRun apply_run) const;
   /// Ships or queues one record for `inst`'s slave. Caller holds inst->mu.
   void ReplicateLocked(Instance* inst, int instance_id,
                        ReplicationRecord&& rec);

@@ -14,7 +14,7 @@ constexpr uint32_t kVersion = 1;
 
 constexpr size_t kMaxKeyLen = 1u << 24;
 constexpr size_t kMaxValueLen = 1u << 28;
-// Record payload upper bound (a Multi* run is capped far below this by the
+// Record payload upper bound (a write run is capped far below this by the
 // batching layer; the bound only rejects garbage length fields).
 constexpr size_t kMaxRecordLen = 1u << 30;
 

@@ -35,12 +35,15 @@ struct WalOpView {
   std::string_view value;
 };
 
-/// One crc-framed WAL record: either an atomic batch of ops against one
-/// data instance (a point op or a whole contiguous Multi* run), or a
-/// barrier — a marker the processing tier appends (fsynced) once everything
-/// up to a batch boundary has been flushed to the store. Recovery replays
-/// to the last barrier shared by every server, discarding the uncommitted
-/// suffix of a batch that was mid-flight at the crash.
+/// One crc-framed WAL record, of one of two kinds:
+///  - kOps: an atomic batch of ops against one data instance. It is one
+///    contiguous same-instance run of a DataServer::Write call, whatever its
+///    mix of puts, deletes and increments (a point op is a one-op run),
+///    appended after the run applies and under the same instance lock.
+///  - kBarrier: a marker the processing tier appends (fsynced) once
+///    everything up to a batch boundary has been flushed to the store.
+/// Recovery replays to the last barrier shared by every server, discarding
+/// the uncommitted suffix of a batch that was mid-flight at the crash.
 struct WalRecord {
   enum class Kind : uint8_t { kOps = 0, kBarrier = 1 };
   Kind kind = Kind::kOps;

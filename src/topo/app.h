@@ -52,7 +52,6 @@ struct AppOptions {
 
   // --- CB ---
   EventTime profile_half_life = Hours(12);
-  EventTime item_ttl = 0;
 
   // --- CTR ---
   double ctr_prior_strength = 20.0;
@@ -67,14 +66,9 @@ struct AppOptions {
 
   // --- host-aware batched store I/O ---
   /// Combiner flushes (and other write-behind paths) always go through a
-  /// BatchWriter: grouped per-host Multi* calls instead of one store op per
-  /// key. A constant kept readable for reports that print it.
+  /// BatchWriter: one grouped per-host Write call per flush instead of one
+  /// store op per key. A constant kept readable for reports that print it.
   static constexpr bool enable_store_batching = true;
-  /// BatchWriter auto-flush threshold (staged ops).
-  size_t store_batch_max_ops = 256;
-  /// BatchWriter max staging age before auto-flush; 0 = flush only on
-  /// size/explicit Flush (bolt ticks already bound staleness).
-  int64_t store_batch_max_age_micros = 0;
 
   // --- batched query tier (read-side mirror of the write batching) ---
   /// StoreQuery reads always go through the batched query tier: each query

@@ -45,13 +45,11 @@ bool UpsertScored(core::Recommendations* list, core::ItemId other,
 void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   ctx_ = ctx;
   client_ = std::make_unique<tdstore::Client>(app_->store);
-  tdstore::BatchWriter::Options wopts;
-  wopts.max_ops = app_->options.store_batch_max_ops;
-  wopts.max_age_micros = app_->options.store_batch_max_age_micros;
-  writer_ = std::make_unique<tdstore::BatchWriter>(client_.get(), wopts);
+  writer_ = std::make_unique<tdstore::BatchWriter>(
+      client_.get(), tdstore::BatchWriter::Options());
   // Write-behind: every cache write stages on the writer instead of issuing
-  // a point store op per key. Cleanup() ships whatever the auto-flush
-  // thresholds left staged.
+  // a point store op per key. Combiner ticks and Cleanup() ship whatever
+  // the size threshold left staged.
   cache_ = std::make_unique<StoreCache>(
       client_.get(), writer_.get(),
       app_->options.enable_cache ? app_->options.cache_capacity : 0);

@@ -23,9 +23,9 @@ namespace tencentrec::topo {
 /// Writes go through the BatchWriter given at construction: Put/AddDouble
 /// update the cache immediately (single-writer-per-key makes it the
 /// authoritative copy) and stage the store op on the writer instead of
-/// issuing a point call per key — so a batch of hot-key updates ships as a
-/// handful of Multi* runs (and one WAL record per run) rather than
-/// thousands of single-op writes. Other workers see a write once the writer
+/// issuing a point call per key — so a batch of hot-key updates ships as
+/// one Write call per flush (and one WAL record per instance run) rather
+/// than thousands of single-op writes. Other workers see a write once the writer
 /// flushes. Reads consult the writer's staged puts on a cache miss, so
 /// read-your-writes survives eviction; a staged-op error fires the op's
 /// callback at flush time and invalidates the cache entry that got ahead of

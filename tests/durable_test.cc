@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -435,6 +436,42 @@ TEST(SnapshotTest, DetectsTornAndCorruptSnapshots) {
 // ---------------------------------------------------------------------------
 // Cluster checkpoint + recovery.
 
+// One-op calls straight at a data server instance (no client routing).
+tdstore::WriteResult WriteAt(tdstore::DataServer* server,
+                             const tdstore::WriteOp& op) {
+  tdstore::WriteResult r;
+  Status s = server->Write({&op, 1}, {&r, 1});
+  if (!s.ok()) r.status = s;
+  return r;
+}
+
+Status PutAt(tdstore::DataServer* server, int instance, std::string_view key,
+             std::string_view value) {
+  return WriteAt(server, tdstore::WriteOp::Put(key, value, instance)).status;
+}
+
+Status DeleteAt(tdstore::DataServer* server, int instance,
+                std::string_view key) {
+  return WriteAt(server, tdstore::WriteOp::Delete(key, instance)).status;
+}
+
+Result<int64_t> IncrInt64At(tdstore::DataServer* server, int instance,
+                            std::string_view key, int64_t delta) {
+  tdstore::WriteResult r =
+      WriteAt(server, tdstore::WriteOp::IncrInt64(key, delta, instance));
+  if (!r.status.ok()) return r.status;
+  return r.int_value;
+}
+
+Result<std::string> GetAt(tdstore::DataServer* server, int instance,
+                          std::string_view key) {
+  const tdstore::ReadOp op{instance, key};
+  Result<std::string> out(Status::Internal("unset"));
+  Status s = server->MultiGet({&op, 1}, {&out, 1});
+  if (!s.ok()) return s;
+  return out;
+}
+
 tdstore::Cluster::Options DurableClusterOptions(const std::string& dir) {
   tdstore::Cluster::Options opts;
   opts.num_data_servers = 2;
@@ -451,33 +488,33 @@ TEST(ClusterDurable, RecoversSnapshotPlusWalReplay) {
     auto cluster = tdstore::Cluster::Create(DurableClusterOptions(dir.path()));
     ASSERT_TRUE(cluster.ok());
     // Instance i is hosted by server i % 2.
-    ASSERT_TRUE((*cluster)->data_server(0)->Put(0, "pre", "snap").ok());
-    ASSERT_TRUE((*cluster)->data_server(1)->Put(1, "pre1", "snap1").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(0), 0, "pre", "snap").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(1), 1, "pre1", "snap1").ok());
     ASSERT_TRUE((*cluster)->CommitBarrier(1).ok());
     ASSERT_TRUE((*cluster)->Checkpoint(1).ok());
     // Post-checkpoint traffic lives only in the WAL.
-    ASSERT_TRUE((*cluster)->data_server(0)->Put(2, "post", "wal").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(0), 2, "post", "wal").ok());
     ASSERT_TRUE(
-        (*cluster)->data_server(1)->IncrInt64(1, "count", 5).status().ok());
-    ASSERT_TRUE((*cluster)->data_server(1)->Delete(1, "pre1").ok());
+        IncrInt64At((*cluster)->data_server(1), 1, "count", 5).status().ok());
+    ASSERT_TRUE(DeleteAt((*cluster)->data_server(1), 1, "pre1").ok());
     ASSERT_TRUE((*cluster)->CommitBarrier(2).ok());
     // Uncommitted tail: no barrier after it — recovery must drop it.
-    ASSERT_TRUE((*cluster)->data_server(0)->Put(0, "torn", "lost").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(0), 0, "torn", "lost").ok());
   }
   auto recovered = tdstore::Cluster::Create(DurableClusterOptions(dir.path()));
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ((*recovered)->recovered_barrier_id(), 2u);
-  auto v = (*recovered)->data_server(0)->Get(0, "pre");
+  auto v = GetAt((*recovered)->data_server(0), 0, "pre");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "snap");
-  EXPECT_TRUE((*recovered)->data_server(0)->Get(2, "post").ok());
-  auto count = (*recovered)->data_server(1)->IncrInt64(1, "count", 0);
+  EXPECT_TRUE(GetAt((*recovered)->data_server(0), 2, "post").ok());
+  auto count = IncrInt64At((*recovered)->data_server(1), 1, "count", 0);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 5);
   EXPECT_TRUE(
-      (*recovered)->data_server(1)->Get(1, "pre1").status().IsNotFound());
+      GetAt((*recovered)->data_server(1), 1, "pre1").status().IsNotFound());
   EXPECT_TRUE(
-      (*recovered)->data_server(0)->Get(0, "torn").status().IsNotFound());
+      GetAt((*recovered)->data_server(0), 0, "torn").status().IsNotFound());
   // Recovery is visible in /vars: the counters moved.
   EXPECT_GT(
       MetricRegistry::Default().GetCounter("store.recovery.count")->Value(),
@@ -493,7 +530,7 @@ TEST(ClusterDurable, RecoversSnapshotPlusWalReplay) {
   // Slaves were re-seeded from the recovered hosts: fail server 0 and its
   // instances keep serving from the promoted slaves.
   ASSERT_TRUE((*recovered)->FailDataServer(0).ok());
-  auto promoted = (*recovered)->data_server(1)->Get(0, "pre");
+  auto promoted = GetAt((*recovered)->data_server(1), 0, "pre");
   ASSERT_TRUE(promoted.ok());
   EXPECT_EQ(*promoted, "snap");
 }
@@ -503,11 +540,11 @@ TEST(ClusterDurable, RecoveryStopsAtMinimumSharedBarrier) {
   {
     auto cluster = tdstore::Cluster::Create(DurableClusterOptions(dir.path()));
     ASSERT_TRUE(cluster.ok());
-    ASSERT_TRUE((*cluster)->data_server(0)->Put(0, "both", "v0").ok());
-    ASSERT_TRUE((*cluster)->data_server(1)->Put(1, "both1", "v1").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(0), 0, "both", "v0").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(1), 1, "both1", "v1").ok());
     ASSERT_TRUE((*cluster)->CommitBarrier(1).ok());
-    ASSERT_TRUE((*cluster)->data_server(0)->Put(0, "late", "v").ok());
-    ASSERT_TRUE((*cluster)->data_server(1)->Put(1, "late1", "v").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(0), 0, "late", "v").ok());
+    ASSERT_TRUE(PutAt((*cluster)->data_server(1), 1, "late1", "v").ok());
     // Barrier 2 reached only server 0's platter before the "crash": it is
     // NOT a consistent cut, because server 1's batch-2 ops have no barrier.
     ASSERT_TRUE((*cluster)->data_server(0)->AppendBarrier(2).ok());
@@ -515,14 +552,14 @@ TEST(ClusterDurable, RecoveryStopsAtMinimumSharedBarrier) {
   auto recovered = tdstore::Cluster::Create(DurableClusterOptions(dir.path()));
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ((*recovered)->recovered_barrier_id(), 1u);
-  EXPECT_TRUE((*recovered)->data_server(0)->Get(0, "both").ok());
-  EXPECT_TRUE((*recovered)->data_server(1)->Get(1, "both1").ok());
+  EXPECT_TRUE(GetAt((*recovered)->data_server(0), 0, "both").ok());
+  EXPECT_TRUE(GetAt((*recovered)->data_server(1), 1, "both1").ok());
   // Batch 2 rolled back everywhere — including on the server that had
   // fsynced its barrier.
   EXPECT_TRUE(
-      (*recovered)->data_server(0)->Get(0, "late").status().IsNotFound());
+      GetAt((*recovered)->data_server(0), 0, "late").status().IsNotFound());
   EXPECT_TRUE(
-      (*recovered)->data_server(1)->Get(1, "late1").status().IsNotFound());
+      GetAt((*recovered)->data_server(1), 1, "late1").status().IsNotFound());
 }
 
 // ---------------------------------------------------------------------------

@@ -123,9 +123,9 @@ TEST(EngineTest, ContentBasedViaCatalog) {
   options.app.algorithms.content_based = true;
   auto engine = TencentRec::Create(options);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->RegisterItem(1, {{100, 1.0}}, 0).ok());
-  ASSERT_TRUE((*engine)->RegisterItem(2, {{100, 1.0}}, 0).ok());
-  ASSERT_TRUE((*engine)->RegisterItem(3, {{200, 1.0}}, 0).ok());
+  ASSERT_TRUE((*engine)->RegisterItem(1, {{100, 1.0}}).ok());
+  ASSERT_TRUE((*engine)->RegisterItem(2, {{100, 1.0}}).ok());
+  ASSERT_TRUE((*engine)->RegisterItem(3, {{200, 1.0}}).ok());
 
   ASSERT_TRUE(
       (*engine)

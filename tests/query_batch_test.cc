@@ -611,7 +611,7 @@ TEST(QueryParityTest, QueryOutputsMatchGoldenDigests) {
       core::TagVector tags = {
           {static_cast<core::TagId>(1 + item % 4), 1.0},
           {static_cast<core::TagId>(1 + (item * 7) % 4), 0.5}};
-      ASSERT_TRUE((*engine)->RegisterItem(item, tags, Seconds(0)).ok());
+      ASSERT_TRUE((*engine)->RegisterItem(item, tags).ok());
     }
     ASSERT_TRUE((*engine)->ProcessBatch(actions).ok());
     EXPECT_EQ(QuerySweepDigest((*engine)->query(), now), golden.digest);
@@ -638,7 +638,7 @@ TEST(EngineQueryCacheTest, RegisterItemInvalidatesCachedNotFound) {
 
   // Registration writes it:123 out of band and must evict that negative
   // entry; a TTL-fresh read straight after sees the tags.
-  ASSERT_TRUE((*engine)->RegisterItem(123, {{1, 1.0}}, Seconds(0)).ok());
+  ASSERT_TRUE((*engine)->RegisterItem(123, {{1, 1.0}}).ok());
   auto v = cache->Get(key, fetch);
   ASSERT_TRUE(v.ok());
   auto tags = topo::DecodeTagVector(*v);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,7 +28,44 @@ Cluster::Options SmallCluster() {
   return options;
 }
 
-// --- data server batch entry points -----------------------------------------
+/// A client-side increment batch over `adds` (which must outlive it).
+std::vector<WriteOp> Incrs(
+    const std::vector<std::pair<std::string, double>>& adds) {
+  std::vector<WriteOp> ops;
+  ops.reserve(adds.size());
+  for (const auto& [key, delta] : adds) {
+    ops.push_back(WriteOp::IncrDouble(key, delta));
+  }
+  return ops;
+}
+
+/// One-op MultiGet against a data server instance.
+Result<std::string> GetAt(const DataServer& ds, int instance,
+                          std::string_view key) {
+  const ReadOp op{instance, key};
+  Result<std::string> out(Status::Internal("unset"));
+  Status s = ds.MultiGet({&op, 1}, {&out, 1});
+  if (!s.ok()) return s;
+  return out;
+}
+
+class TempDir {
+ public:
+  TempDir() {
+    path_ = std::filesystem::temp_directory_path() /
+            ("tdstore_batch_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter_++));
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  std::string path() const { return path_.string(); }
+
+ private:
+  static inline int counter_ = 0;
+  std::filesystem::path path_;
+};
+
+// --- data server entry points -----------------------------------------------
 
 TEST(DataServerBatchTest, RunsApplyInOrderAndCountOneInvocation) {
   DataServer ds(0, /*sync_replication=*/true);
@@ -35,23 +75,25 @@ TEST(DataServerBatchTest, RunsApplyInOrderAndCountOneInvocation) {
   ASSERT_TRUE(ds.SetHostRole(2, true).ok());
 
   // Same-key items in one batch must see each other in input order.
-  std::vector<BatchIncrDouble> items = {
-      {1, "a", 1.5}, {1, "a", 2.0}, {1, "b", 1.0}, {2, "c", 4.0}};
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(ds.MultiIncrDouble(items, &out).ok());
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_DOUBLE_EQ(out[0].value(), 1.5);
-  EXPECT_DOUBLE_EQ(out[1].value(), 3.5);
-  EXPECT_DOUBLE_EQ(out[2].value(), 1.0);
-  EXPECT_DOUBLE_EQ(out[3].value(), 4.0);
+  const std::vector<WriteOp> items = {
+      WriteOp::IncrDouble("a", 1.5, 1), WriteOp::IncrDouble("a", 2.0, 1),
+      WriteOp::IncrDouble("b", 1.0, 1), WriteOp::IncrDouble("c", 4.0, 2)};
+  std::vector<WriteResult> out(items.size());
+  ASSERT_TRUE(ds.Write(items, out).ok());
+  EXPECT_DOUBLE_EQ(out[0].value, 1.5);
+  EXPECT_DOUBLE_EQ(out[1].value, 3.5);
+  EXPECT_DOUBLE_EQ(out[2].value, 1.0);
+  EXPECT_DOUBLE_EQ(out[3].value, 4.0);
   // One entry call, one invocation — but per-op write accounting stays.
   EXPECT_EQ(ds.invocations(), 1);
   EXPECT_EQ(ds.writes(), 4);
 
-  std::vector<BatchGet> gets = {{1, "a"}, {1, "missing"}, {2, "c"}};
-  std::vector<Result<std::string>> gout;
-  ASSERT_TRUE(ds.MultiGet(gets, &gout).ok());
+  const std::vector<ReadOp> gets = {{1, "a"}, {1, "missing"}, {2, "c"}};
+  std::vector<Result<std::string>> gout(
+      gets.size(), Result<std::string>(Status::Internal("unset")));
+  ASSERT_TRUE(ds.MultiGet(gets, gout).ok());
   EXPECT_EQ(ds.invocations(), 2);
+  EXPECT_EQ(ds.reads(), 3);
   EXPECT_EQ(gout[0].value(), EncodeDouble(3.5));
   EXPECT_TRUE(gout[1].status().IsNotFound());
   EXPECT_EQ(gout[2].value(), EncodeDouble(4.0));
@@ -63,19 +105,19 @@ TEST(DataServerBatchTest, PerItemErrorsDoNotAbortSiblings) {
   ASSERT_TRUE(ds.CreateInstance(2, EngineOptions()).ok());
   ASSERT_TRUE(ds.SetHostRole(1, true).ok());
   // Instance 2 stays non-host; instance 9 doesn't exist here.
-  std::vector<BatchPut> items = {
-      {1, "good", "v"}, {2, "wrong-host", "v"}, {9, "no-instance", "v"},
-      {1, "also-good", "v"}};
-  std::vector<Status> out;
-  ASSERT_TRUE(ds.MultiPut(items, &out).ok());
-  EXPECT_TRUE(out[0].ok());
-  EXPECT_TRUE(out[1].IsUnavailable());
-  EXPECT_TRUE(out[2].IsNotFound());
-  EXPECT_TRUE(out[3].ok());
+  const std::vector<WriteOp> items = {
+      WriteOp::Put("good", "v", 1), WriteOp::Put("wrong-host", "v", 2),
+      WriteOp::Put("no-instance", "v", 9), WriteOp::Put("also-good", "v", 1)};
+  std::vector<WriteResult> out(items.size());
+  ASSERT_TRUE(ds.Write(items, out).ok());
+  EXPECT_TRUE(out[0].status.ok());
+  EXPECT_TRUE(out[1].status.IsUnavailable());
+  EXPECT_TRUE(out[2].status.IsNotFound());
+  EXPECT_TRUE(out[3].status.ok());
 
   // Whole-server-down is the only overall failure.
   ds.SetDown(true);
-  EXPECT_TRUE(ds.MultiPut(items, &out).IsUnavailable());
+  EXPECT_TRUE(ds.Write(items, out).IsUnavailable());
 }
 
 TEST(DataServerBatchTest, BatchReplicationReachesSlave) {
@@ -86,24 +128,74 @@ TEST(DataServerBatchTest, BatchReplicationReachesSlave) {
   ASSERT_TRUE(host.SetHostRole(7, true).ok());
   ASSERT_TRUE(host.SetSlave(7, &slave).ok());
 
-  std::vector<BatchIncrDouble> items = {
-      {7, "x", 1.25}, {7, "x", 2.5}, {7, "y", 3.0}};
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(host.MultiIncrDouble(items, &out).ok());
-  EXPECT_DOUBLE_EQ(out[1].value(), 3.75);
-  // The whole run ships as one record; pending still counts logical ops.
-  EXPECT_EQ(host.PendingReplication(), 3u);
+  const std::vector<WriteOp> items = {WriteOp::IncrDouble("x", 1.25, 7),
+                                      WriteOp::IncrDouble("x", 2.5, 7),
+                                      WriteOp::IncrDouble("y", 3.0, 7)};
+  std::vector<WriteResult> out(items.size());
+  ASSERT_TRUE(host.Write(items, out).ok());
+  EXPECT_DOUBLE_EQ(out[1].value, 3.75);
+  // The whole run ships as one record.
+  EXPECT_EQ(host.PendingReplication(), 1u);
   ASSERT_TRUE(host.FlushReplication().ok());
   EXPECT_EQ(host.PendingReplication(), 0u);
 
   ASSERT_TRUE(slave.SetHostRole(7, true).ok());
-  EXPECT_EQ(slave.Get(7, "x").value(), EncodeDouble(3.75));
-  EXPECT_EQ(slave.Get(7, "y").value(), EncodeDouble(3.0));
+  EXPECT_EQ(GetAt(slave, 7, "x").value(), EncodeDouble(3.75));
+  EXPECT_EQ(GetAt(slave, 7, "y").value(), EncodeDouble(3.0));
+}
+
+TEST(DataServerBatchTest, MixedKindRunIsOneInvocationWalRecordAndReplication) {
+  TempDir dir;
+  DataServer host(0, /*sync_replication=*/false);
+  DataServer slave(1, false);
+  ASSERT_TRUE(host.CreateInstance(3, EngineOptions()).ok());
+  ASSERT_TRUE(slave.CreateInstance(3, EngineOptions()).ok());
+  ASSERT_TRUE(host.SetHostRole(3, true).ok());
+  ASSERT_TRUE(host.SetSlave(3, &slave).ok());
+  ASSERT_TRUE(host.EnableDurability(dir.path(), Wal::Options()).ok());
+  const WriteOp seed = WriteOp::Put("gone", "v", 3);
+  WriteResult seeded;
+  ASSERT_TRUE(host.Write({&seed, 1}, {&seeded, 1}).ok());
+  ASSERT_TRUE(seeded.status.ok());
+  ASSERT_TRUE(host.FlushReplication().ok());
+  host.ResetCounters();
+  const uint64_t wal_before = host.wal()->record_count();
+
+  // Every kind in one run, with a put -> incr -> put chain on one key.
+  const std::string two = EncodeDouble(2.0);
+  const std::string ten = EncodeDouble(10.0);
+  std::vector<WriteOp> items = {
+      WriteOp::Put("k", two, 3), WriteOp::IncrDouble("k", 0.5, 3),
+      WriteOp::Put("k", ten, 3), WriteOp::IncrDouble("k", 0.25, 3)};
+  items.push_back(WriteOp::IncrInt64("n", 5, 3));
+  items.push_back(WriteOp::Delete("gone", 3));
+  std::vector<WriteResult> out(items.size());
+  ASSERT_TRUE(host.Write(items, out).ok());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(out[i].status.ok()) << i;
+  }
+  EXPECT_DOUBLE_EQ(out[1].value, 2.5);
+  EXPECT_DOUBLE_EQ(out[3].value, 10.25);
+  EXPECT_EQ(out[4].int_value, 5);
+
+  EXPECT_EQ(host.invocations(), 1);
+  EXPECT_EQ(host.writes(), 6);
+  EXPECT_EQ(host.wal()->record_count(), wal_before + 1);
+  EXPECT_EQ(host.PendingReplication(), 1u);
+
+  // The slave replays the run to the host's exact bytes.
+  ASSERT_TRUE(host.FlushReplication().ok());
+  ASSERT_TRUE(slave.SetHostRole(3, true).ok());
+  for (const DataServer* ds : {&host, &slave}) {
+    EXPECT_EQ(GetAt(*ds, 3, "k").value(), EncodeDouble(10.25));
+    EXPECT_EQ(GetAt(*ds, 3, "n").value(), EncodeInt64(5));
+    EXPECT_TRUE(GetAt(*ds, 3, "gone").status().IsNotFound());
+  }
 }
 
 // --- client grouped dispatch ------------------------------------------------
 
-TEST(ClientBatchTest, MultiIncrDoubleStitchesInputOrder) {
+TEST(ClientBatchTest, WriteStitchesInputOrder) {
   auto cluster = Cluster::Create(SmallCluster());
   ASSERT_TRUE(cluster.ok());
   Client client(cluster->get());
@@ -111,15 +203,15 @@ TEST(ClientBatchTest, MultiIncrDoubleStitchesInputOrder) {
   for (int i = 0; i < 50; ++i) {
     adds.emplace_back("k" + std::to_string(i % 20), 0.25 * (i % 3 + 1));
   }
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(client.MultiIncrDouble(adds, &out).ok());
-  ASSERT_EQ(out.size(), adds.size());
+  const std::vector<WriteOp> ops = Incrs(adds);
+  std::vector<WriteResult> out(ops.size());
+  ASSERT_TRUE(client.Write(ops, out).ok());
   // Reference: the same running totals computed locally, in input order.
   std::map<std::string, double> totals;
   for (size_t i = 0; i < adds.size(); ++i) {
     totals[adds[i].first] += adds[i].second;
-    ASSERT_TRUE(out[i].ok()) << i;
-    EXPECT_DOUBLE_EQ(out[i].value(), totals[adds[i].first]) << i;
+    ASSERT_TRUE(out[i].status.ok()) << i;
+    EXPECT_DOUBLE_EQ(out[i].value, totals[adds[i].first]) << i;
   }
 }
 
@@ -180,8 +272,9 @@ TEST(ClientBatchTest, InvocationsScaleWithHostsNotKeys) {
 
   std::vector<std::pair<std::string, double>> adds;
   for (int i = 0; i < 30; ++i) adds.emplace_back("ik" + std::to_string(i), 1.0);
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(client.MultiIncrDouble(adds, &out).ok());
+  const std::vector<WriteOp> ops = Incrs(adds);
+  std::vector<WriteResult> out(ops.size());
+  ASSERT_TRUE(client.Write(ops, out).ok());
 
   int64_t invocations = 0;
   int64_t writes = 0;
@@ -223,8 +316,9 @@ TEST(BatchParityTest, BatchedIncrementsBitIdenticalToPointOps) {
       writer.IncrDouble("w:" + std::to_string(script[i].first),
                         script[i].second);
     }
-    std::vector<Result<double>> out;
-    ASSERT_TRUE(client.MultiIncrDouble(chunk, &out).ok());
+    const std::vector<WriteOp> ops = Incrs(chunk);
+    std::vector<WriteResult> out(ops.size());
+    ASSERT_TRUE(client.Write(ops, out).ok());
     ASSERT_TRUE(writer.Flush().ok());
   }
 
@@ -257,13 +351,14 @@ TEST(ClientBatchTest, FailoverRetriesOnlyFailedSubBatchExactlyOnce) {
 
   std::vector<std::pair<std::string, double>> adds;
   for (int i = 0; i < 60; ++i) adds.emplace_back("fo" + std::to_string(i), 1.0);
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(stale.MultiIncrDouble(adds, &out).ok());
+  const std::vector<WriteOp> ops = Incrs(adds);
+  std::vector<WriteResult> out(ops.size());
+  ASSERT_TRUE(stale.Write(ops, out).ok());
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(out[i].ok()) << i << ": " << out[i].status().ToString();
+    ASSERT_TRUE(out[i].status.ok()) << i << ": " << out[i].status.ToString();
     // 1.0 exactly: a doubled retry would return 2.0, a lost one would
     // surface as an error or stale read below.
-    EXPECT_DOUBLE_EQ(out[i].value(), 1.0) << i;
+    EXPECT_DOUBLE_EQ(out[i].value, 1.0) << i;
   }
   EXPECT_GT(stale.route_refreshes(), refreshes_before);
 
@@ -284,13 +379,14 @@ TEST(ClientBatchTest, AsyncReplicationFlushThenFailoverKeepsBatchedWrites) {
 
   std::vector<std::pair<std::string, double>> adds;
   for (int i = 0; i < 40; ++i) adds.emplace_back("ar" + std::to_string(i), 2.5);
-  std::vector<Result<double>> out;
-  ASSERT_TRUE(client.MultiIncrDouble(adds, &out).ok());
+  const std::vector<WriteOp> ops = Incrs(adds);
+  std::vector<WriteResult> out(ops.size());
+  ASSERT_TRUE(client.Write(ops, out).ok());
   // Batched writes queue replication records; drain them, then fail over.
   ASSERT_TRUE((*cluster)->FlushReplication().ok());
   ASSERT_TRUE((*cluster)->FailDataServer(0).ok());
 
-  ASSERT_TRUE(client.MultiIncrDouble(adds, &out).ok());
+  ASSERT_TRUE(client.Write(ops, out).ok());
   Client fresh(cluster->get());
   for (int i = 0; i < 40; ++i) {
     auto v = fresh.GetDouble("ar" + std::to_string(i));
@@ -370,18 +466,47 @@ TEST(BatchWriterTest, NeverCoalescesIncrements) {
   EXPECT_EQ(client.Get("k").value(), EncodeDouble(0.1 + 0.2));
 }
 
-TEST(BatchWriterTest, KindConflictOnKeyFlushesFirst) {
+TEST(BatchWriterTest, MixedKindsOnOneKeyMatchPointOpSequence) {
   auto cluster = Cluster::Create(SmallCluster());
   ASSERT_TRUE(cluster.ok());
   Client client(cluster->get());
   BatchWriter writer(&client, {});
-  writer.PutDouble("k", 2.0);
+
+  // put -> incr -> put -> incr on one key, all inside one flush: the second
+  // put must not coalesce into the first (an incr sits between them).
+  double incr1 = 0.0;
+  double incr2 = 0.0;
+  writer.PutDouble("w", 2.0);
+  writer.IncrDouble("w", 0.1, [&](const Result<double>& r) {
+    incr1 = r.value();
+  });
+  EXPECT_EQ(writer.StagedPut("w"), nullptr);  // the put is no longer newest
+  writer.PutDouble("w", 5.0);
+  ASSERT_NE(writer.StagedPut("w"), nullptr);
+  EXPECT_EQ(*writer.StagedPut("w"), EncodeDouble(5.0));
+  writer.IncrDouble("w", 0.7, [&](const Result<double>& r) {
+    incr2 = r.value();
+  });
+  EXPECT_EQ(writer.pending(), 4u);
   EXPECT_EQ(writer.flushes(), 0);
-  writer.IncrDouble("k", 1.0);  // put must land before the incr is staged
-  EXPECT_EQ(writer.flushes(), 1);
-  EXPECT_EQ(writer.pending(), 1u);
   ASSERT_TRUE(writer.Flush().ok());
-  EXPECT_DOUBLE_EQ(client.GetDouble("k").value(), 3.0);
+  EXPECT_EQ(writer.flushes(), 1);
+
+  // The same sequence as one-op point calls.
+  ASSERT_TRUE(client.PutDouble("p", 2.0).ok());
+  auto p1 = client.IncrDouble("p", 0.1);
+  ASSERT_TRUE(p1.ok());
+  ASSERT_TRUE(client.PutDouble("p", 5.0).ok());
+  auto p2 = client.IncrDouble("p", 0.7);
+  ASSERT_TRUE(p2.ok());
+
+  EXPECT_EQ(EncodeDouble(incr1), EncodeDouble(*p1));
+  EXPECT_EQ(EncodeDouble(incr2), EncodeDouble(*p2));
+  auto batched = client.Get("w");
+  auto point = client.Get("p");
+  ASSERT_TRUE(batched.ok());
+  ASSERT_TRUE(point.ok());
+  EXPECT_EQ(*batched, *point);  // raw bytes
 }
 
 TEST(BatchWriterTest, FlushRestoresTraceContext) {
@@ -420,7 +545,7 @@ TEST(BatchWriterTest, FlushRestoresTraceContext) {
   Tracer::Default().Clear();
 }
 
-TEST(BatchWriterTest, AutoFlushBySizeAndAge) {
+TEST(BatchWriterTest, AutoFlushBySize) {
   auto cluster = Cluster::Create(SmallCluster());
   ASSERT_TRUE(cluster.ok());
   Client client(cluster->get());
@@ -434,17 +559,7 @@ TEST(BatchWriterTest, AutoFlushBySizeAndAge) {
   sized.IncrDouble("s3", 1.0);
   EXPECT_EQ(sized.flushes(), 1);
   EXPECT_EQ(sized.pending(), 0u);
-
-  BatchWriter::Options by_age;
-  by_age.max_age_micros = 1000;
-  BatchWriter aged(&client, by_age);
-  aged.IncrDouble("a1", 1.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(aged.flushes(), 0);  // age checked at the next staging call
-  aged.IncrDouble("a2", 1.0);
-  EXPECT_EQ(aged.flushes(), 1);
-  EXPECT_EQ(aged.pending(), 0u);
-  EXPECT_DOUBLE_EQ(client.GetDouble("a1").value(), 1.0);
+  EXPECT_DOUBLE_EQ(client.GetDouble("s1").value(), 1.0);
 }
 
 TEST(BatchWriterTest, SurfacesErrorsThroughCallbacksAndLastError) {
@@ -479,9 +594,10 @@ TEST(ClientBatchTest, ConcurrentBatchClientsStayConsistent) {
       for (int i = 0; i < 32; ++i) {
         adds.emplace_back("cc" + std::to_string(i), 1.0);
       }
+      const std::vector<WriteOp> ops = Incrs(adds);
       for (int r = 0; r < kRounds; ++r) {
-        std::vector<Result<double>> out;
-        EXPECT_TRUE(client.MultiIncrDouble(adds, &out).ok());
+        std::vector<WriteResult> out(ops.size());
+        EXPECT_TRUE(client.Write(ops, out).ok());
       }
     });
   }
